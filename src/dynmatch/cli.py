@@ -7,6 +7,7 @@ import json
 import sys
 
 from .core import InstanceConfig
+from .errors import DynMatchError
 from .replay import replay, write_summary
 from .streams import GENERATORS, StreamSpec, generate_stream, read_stream, write_stream
 from .suites import SUITES, run_validation
@@ -53,8 +54,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; an input or configuration the engine rejects
+    exits with status 2 and a one-line message on stderr."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except DynMatchError as exc:
+        print(f"dynmatch {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "gen":
         params = {}
         if args.target_edges is not None:

@@ -90,7 +90,7 @@ def level_of_rank(rank: Rank, thresholds: list[Rank]) -> int:
     return levels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRecord:
     """All randomness attached to one arrival of an edge.
 
@@ -161,7 +161,10 @@ class Instance:
             for _ in range(config.n)
         ]
         self.records: dict[EdgeKey, EdgeRecord] = {}
-        self.adj: list[set[int]] = [set() for _ in range(config.n)]
+        self.deg: list[int] = [0] * config.n
+        # One shared tuple per sampling-coin pattern (there are 2^L), not
+        # one per edge arrival.
+        self._coin_patterns: dict[tuple[bool, ...], tuple[bool, ...]] = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -178,7 +181,7 @@ class Instance:
         return self.tapes[v][level - 1]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.deg[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.records
@@ -205,7 +208,7 @@ class Instance:
         if key in self.records:
             raise DuplicateEdgeError(f"edge {key} already present")
         cap = self.config.delta_cap
-        if len(self.adj[u]) >= cap or len(self.adj[v]) >= cap:
+        if self.deg[u] >= cap or self.deg[v] >= cap:
             raise CapacityError(
                 f"inserting {key} would exceed the declared degree bound {cap}"
             )
@@ -218,10 +221,11 @@ class Instance:
             self._rng.random() < self.config.sample_p
             for _ in range(self.config.levels)
         )
+        sampled = self._coin_patterns.setdefault(sampled, sampled)
         record = EdgeRecord(key, ranks, sampled)
         self.records[key] = record
-        self.adj[lo].add(hi)
-        self.adj[hi].add(lo)
+        self.deg[lo] += 1
+        self.deg[hi] += 1
         return record
 
     def retire_edge(self, u: int, v: int) -> EdgeRecord:
@@ -230,9 +234,8 @@ class Instance:
         record = self.records.pop(key, None)
         if record is None:
             raise EdgeNotFoundError(f"edge {key} not present")
-        lo, hi = key
-        self.adj[lo].discard(hi)
-        self.adj[hi].discard(lo)
+        self.deg[key[0]] -= 1
+        self.deg[key[1]] -= 1
         return record
 
     def _check_vertex(self, v: int) -> None:

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import EdgeKey, Instance, Rank, edge_key
+from .core import EdgeKey, Instance, Rank
 from .finalmatch import UnionMatcher
 from .rgmm import DeltaList, MatchingState
 
@@ -127,7 +127,6 @@ class Pipeline:
             raise ValueError(f"unknown op {op!r}")
         t0 = time.perf_counter_ns()
         pops0 = self.base.counters["pops"]
-        key = edge_key(u, v)
         level_deltas: dict[int, DeltaList] = {}
         # Union updates must replay in operation order: one pipeline update
         # can make an edge join a level matching and then leave it again.
@@ -137,11 +136,15 @@ class Pipeline:
         role_changes = 0
 
         # Step 1: base matching.
+        # Every layer keys the edge by its record's tuple, so a live edge
+        # holds one key object, not one per layer.
         if op == "ins":
             record = self.inst.admit_edge(u, v)
+            key = record.key
             base_delta = self.base.apply_insert(key, record.ranks[0])
         else:
             record = self.inst.retire_edge(u, v)
+            key = record.key
             base_delta = self.base.apply_delete(key)
 
         if not base_delta:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import Instance, InstanceConfig, edge_key
-from .errors import ReplayError
+from .errors import OracleLimitError, ReplayError
 from .exact import DEFAULT_ORACLE_LIMIT, max_matching_exact
 from .pipeline import Pipeline
 from .streams import UpdateEvent
@@ -32,7 +32,16 @@ def replay(
     metrics_path: str | Path | None = None,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> dict:
-    """Feed events to the pipeline in order; return the summary dict."""
+    """Feed events to the pipeline in order; return the summary dict.
+
+    A run the exact oracle cannot check (n above `oracle_limit` with oracle
+    checkpoints on) is refused before any event is replayed or written.
+    """
+    if oracle_every and config.n > oracle_limit:
+        raise OracleLimitError(
+            f"n={config.n} exceeds the exact oracle limit {oracle_limit}; "
+            "replay with oracle_every=0 (--oracle-every 0) to skip oracle checks"
+        )
     inst = Instance(config)
     pipe = Pipeline(inst)
     present: set = set()

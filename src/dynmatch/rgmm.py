@@ -6,11 +6,15 @@ After any update the state is identical to rebuilding from scratch over the
 current edge set -- the defining contract, which the test suite checks by
 brute force.
 
-Alongside the matching itself the state keeps, per edge, the rank of its
-*eliminator* (the lowest-rank matched edge touching it; itself if matched)
-and, per vertex, an adjacency index ordered by eliminator rank.  Since a
-matching has at most one edge per vertex, the eliminator rank of edge uv is
-simply min(k(u), k(v)) where k(.) is the matched rank (sentinel 1 when free).
+Every edge has an *eliminator* (the lowest-rank matched edge touching it;
+itself if matched).  Since a matching has at most one edge per vertex, the
+eliminator rank of edge uv is simply min(k(u), k(v)) where k(.) is the
+matched rank (sentinel 1 when free), so it is derived from k on demand and
+never stored.  The per-vertex adjacency index is unordered: a candidate scan
+at v costs O(deg(v)) plus sorting what it returns, with an O(1) early exit
+when k(v) is below the threshold.  An index kept sorted by eliminator rank
+would make that scan output-sensitive, but re-keying it on every matching
+change cost more than it saved at every degree cap measured (32 to 4096).
 """
 
 from __future__ import annotations
@@ -19,14 +23,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from sortedcontainers import SortedDict
-
-from .core import UNMATCHED_RANK, EdgeKey, Rank
+from .core import UNMATCHED_RANK, ZERO_RANK, EdgeKey, Rank
 from .errors import DuplicateEdgeError, EdgeNotFoundError
-
-# Index keys are (eliminator_rank, edge_key); this lower bound sorts below
-# every real entry with the same rank, making range scans inclusive.
-_KEY_FLOOR: EdgeKey = (-1, -1)
 
 
 @dataclass
@@ -68,8 +66,11 @@ class MatchingState:
     k : vertex -> rank of its matching edge (absent when unmatched; read
         through `matched_rank`, which returns the sentinel for free vertices).
     matching : the set of matched edges.
-    elim : edge -> eliminator rank.
-    index : vertex -> SortedDict mapping (eliminator rank, edge) -> neighbor.
+    elim : edge -> eliminator rank, computed from k on every read.
+    index : vertex -> unordered dict mapping incident edge -> neighbor.  A
+        candidate scan at v (`neighbors_above`, `incident`) filters it in
+        O(deg(v)) and sorts what it keeps, or returns in O(1) when k(v) is
+        below the threshold.
 
     Single-writer; `apply_insert` / `apply_delete` restore all invariants
     before returning.
@@ -80,8 +81,7 @@ class MatchingState:
         self.matched: dict[int, EdgeKey] = {}
         self.k: dict[int, Rank] = {}
         self.matching: set[EdgeKey] = set()
-        self.elim: dict[EdgeKey, Rank] = {}
-        self.index: dict[int, SortedDict] = {}
+        self.index: dict[int, dict[EdgeKey, int]] = {}
         self.counters = {"pops": 0, "scans": 0}
 
     # -- queries ---------------------------------------------------------
@@ -89,21 +89,47 @@ class MatchingState:
     def matched_rank(self, v: int) -> Rank:
         return self.k.get(v, UNMATCHED_RANK)
 
+    @property
+    def elim(self) -> dict[EdgeKey, Rank]:
+        """Edge -> eliminator rank, min(k(u), k(v))."""
+        k = self.k
+        out = {}
+        for key in self.rank_of:
+            ku = k.get(key[0], UNMATCHED_RANK)
+            kv = k.get(key[1], UNMATCHED_RANK)
+            out[key] = ku if ku < kv else kv
+        return out
+
     def incident(self, v: int) -> list[EdgeKey]:
-        idx = self.index.get(v)
-        return [key for (_, key) in idx] if idx else []
+        """Incident edges in increasing (eliminator rank, edge) order."""
+        return [key for (_, key) in self._by_eliminator(v, ZERO_RANK)]
 
     def neighbors_above(self, v: int, threshold: Rank) -> list[tuple[EdgeKey, Rank]]:
-        """Incident edges whose eliminator rank is >= threshold.
+        """Incident edges whose eliminator rank is >= threshold, as
+        (edge, eliminator rank) in increasing (eliminator rank, edge) order."""
+        return [(key, erank) for (erank, key) in self._by_eliminator(v, threshold)]
 
-        Served by a range scan of the ordered index, so the cost is
-        proportional to the output size plus a log factor.
+    def _by_eliminator(self, v: int, threshold: Rank) -> list[tuple[Rank, EdgeKey]]:
+        """Sorted (eliminator rank, edge) for the edges at v whose eliminator
+        rank is >= threshold.
+
+        The order is part of the contract: the pipeline replays level-graph
+        deletes and inserts in it, and the union answer depends on that order.
         """
         idx = self.index.get(v)
         if not idx:
             return []
-        out = [(key, erank) for (erank, key) in idx.irange(minimum=(threshold, _KEY_FLOOR))]
-        self.counters["scans"] += len(out)
+        k = self.k
+        kv = k.get(v, UNMATCHED_RANK)
+        if kv < threshold:
+            return []  # every eliminator at v is <= k(v)
+        self.counters["scans"] += len(idx)
+        out = []
+        for key, x in idx.items():
+            kx = k.get(x, UNMATCHED_RANK)
+            if kx >= threshold:
+                out.append((kx if kx < kv else kv, key))
+        out.sort()
         return out
 
     def is_maximal(self) -> bool:
@@ -116,11 +142,8 @@ class MatchingState:
             "edges": dict(self.rank_of),
             "matching": set(self.matching),
             "k": dict(self.k),
-            "elim": dict(self.elim),
+            "elim": self.elim,
         }
-
-    def index_contents(self) -> dict[int, tuple]:
-        return {v: tuple(sd.items()) for v, sd in self.index.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatchingState):
@@ -129,8 +152,7 @@ class MatchingState:
             self.rank_of == other.rank_of
             and self.matching == other.matching
             and self.k == other.k
-            and self.elim == other.elim
-            and self.index_contents() == other.index_contents()
+            and self.index == other.index
         )
 
     # -- updates ---------------------------------------------------------
@@ -141,13 +163,9 @@ class MatchingState:
             raise DuplicateEdgeError(f"edge {key} already present")
         u, v = key
         self.rank_of[key] = rank
+        self._index_add(key)
         delta = DeltaList()
-        joins = self.matched_rank(u) > rank and self.matched_rank(v) > rank
-        # Eliminator of the new edge: itself if it joins, else the smaller
-        # matched rank at its endpoints (final unless the cascade moves them,
-        # in which case re-indexing below recomputes it).
-        if joins:
-            self._index_add(key, rank)
+        if self.matched_rank(u) > rank and self.matched_rank(v) > rank:
             seeds = []
             for w in (u, v):
                 old = self.matched.get(w)
@@ -158,9 +176,6 @@ class MatchingState:
             delta.joined.append(key)
             delta.ranks[key] = rank
             self._cascade(seeds, delta)
-            self._reindex(delta)
-        else:
-            self._index_add(key, min(self.matched_rank(u), self.matched_rank(v)))
         return delta
 
     def apply_delete(self, key: EdgeKey) -> DeltaList:
@@ -175,7 +190,6 @@ class MatchingState:
             delta.left.append(key)
             delta.ranks[key] = rank
             self._cascade(list(key), delta)
-            self._reindex(delta)
         return delta
 
     # -- internals -------------------------------------------------------
@@ -199,29 +213,17 @@ class MatchingState:
         delta.left.append(key)
         self._unmatch(key)
 
-    def _index_add(self, key: EdgeKey, erank: Rank) -> None:
-        self.elim[key] = erank
+    def _index_add(self, key: EdgeKey) -> None:
         u, v = key
-        self.index.setdefault(u, SortedDict())[(erank, key)] = v
-        self.index.setdefault(v, SortedDict())[(erank, key)] = u
+        self.index.setdefault(u, {})[key] = v
+        self.index.setdefault(v, {})[key] = u
 
     def _index_remove(self, key: EdgeKey) -> None:
-        erank = self.elim.pop(key)
         for w in key:
-            sd = self.index[w]
-            del sd[(erank, key)]
-            if not sd:
+            adj = self.index[w]
+            del adj[key]
+            if not adj:
                 del self.index[w]
-
-    def _index_rekey(self, key: EdgeKey, old: Rank, new: Rank) -> None:
-        self.elim[key] = new
-        u, v = key
-        sd = self.index[u]
-        del sd[(old, key)]
-        sd[(new, key)] = v
-        sd = self.index[v]
-        del sd[(old, key)]
-        sd[(new, key)] = u
 
     def _best_candidate(self, w: int) -> tuple[Rank, EdgeKey, int] | None:
         """Minimum-rank incident edge whose far endpoint is free or matched
@@ -233,7 +235,7 @@ class MatchingState:
         rank_of = self.rank_of
         k = self.k
         self.counters["scans"] += len(idx)
-        for (_, key), x in idx.items():
+        for key, x in idx.items():
             r = rank_of[key]
             if (best is None or r < best[0]) and k.get(x, UNMATCHED_RANK) > r:
                 best = (r, key, x)
@@ -276,36 +278,6 @@ class MatchingState:
             if old is not None:
                 push(old[0] if old[1] == x else old[1])
 
-    def _reindex(self, delta: DeltaList) -> None:
-        """Recompute eliminators invalidated by a matching change.
-
-        Only edges incident to a vertex whose matched rank moved can change,
-        and their prior eliminator rank is at least the smallest rank in the
-        delta, so a range scan from that rank finds every stale entry.
-        """
-        rmin = delta.min_rank()
-        if rmin is None:
-            return
-        touched: set[int] = set()
-        for key in delta.left:
-            touched.update(key)
-        for key in delta.joined:
-            touched.update(key)
-        floor = (rmin, _KEY_FLOOR)
-        for w in touched:
-            idx = self.index.get(w)
-            if not idx:
-                continue
-            stale = list(idx.irange(minimum=floor))
-            self.counters["scans"] += len(stale)
-            for erank, key in stale:
-                if self.elim.get(key) != erank:
-                    continue  # already re-keyed via the other endpoint
-                a, b = key
-                new = min(self.matched_rank(a), self.matched_rank(b))
-                if new != erank:
-                    self._index_rekey(key, erank, new)
-
 
 def build_static(edges: Iterable[tuple[EdgeKey, Rank]]) -> MatchingState:
     """Construct the greedy matching of an edge set from scratch.
@@ -322,7 +294,5 @@ def build_static(edges: Iterable[tuple[EdgeKey, Rank]]) -> MatchingState:
         u, v = key
         if u not in matched and v not in matched:
             state._match(key, rank)
-    for key, rank in items:
-        u, v = key
-        state._index_add(key, min(state.matched_rank(u), state.matched_rank(v)))
+        state._index_add(key)
     return state

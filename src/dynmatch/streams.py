@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .core import EdgeKey, edge_key
-from .errors import StreamSpecError
+from .errors import ReplayError, StreamSpecError
 
 GENERATORS = ("erdos-churn", "sliding-window", "clique-pm", "bipartite-churn")
 
@@ -223,12 +223,32 @@ def write_stream(events: Iterable[UpdateEvent], path: str | Path) -> None:
 
 
 def read_stream(path: str | Path) -> list[UpdateEvent]:
+    """Parse a JSONL stream file; a malformed line raises `ReplayError`
+    naming its line number."""
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         for seq, line in enumerate(fh):
             line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            events.append(UpdateEvent(obj["op"], obj["u"], obj["v"], seq))
+            if line:
+                events.append(_parse_event(line, seq))
     return events
+
+
+def _parse_event(line: str, seq: int) -> UpdateEvent:
+    def bad(reason: str) -> ReplayError:
+        return ReplayError(seq, f"line {seq + 1}: {reason}")
+
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise bad(f"bad JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise bad("expected a JSON object")
+    for name in ("op", "u", "v"):
+        if name not in obj:
+            raise bad(f"missing field {name!r}")
+    if obj["op"] not in ("ins", "del"):
+        raise bad(f"unknown op {obj['op']!r}")
+    if type(obj["u"]) is not int or type(obj["v"]) is not int:
+        raise bad("vertex ids must be integers")
+    return UpdateEvent(obj["op"], obj["u"], obj["v"], seq)

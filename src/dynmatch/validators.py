@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import RANK_SCALE, EdgeKey
-from .errors import ConsistencyError
+from .errors import ConfigError, ConsistencyError
 from .exact import max_matching_exact
 
 
@@ -44,6 +44,8 @@ def _bulk_greedy(us: list[int], vs: list[int], n: int) -> tuple[list[int], list[
 
 
 def _random_distinct_pairs(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    if m > n * (n - 1) // 2:
+        raise ConfigError(f"m={m} distinct pairs do not fit in n={n} vertices")
     seen: set[tuple[int, int]] = set()
     while len(seen) < m:
         batch = rng.integers(0, n, size=(2 * (m - len(seen)) + 16, 2))

@@ -106,15 +106,15 @@ def c1_data():
             ):
                 mismatches += 1
                 continue
-            # index equality: every eliminator entry present under both
-            # endpoints, and exactly two index entries per edge overall
-            ok = sum(len(sd) for sd in state.index.values()) == 2 * len(elim)
+            # index equality: every live edge indexed under both endpoints
+            # with the other endpoint as its neighbour, and exactly two index
+            # entries per edge overall
+            ok = sum(len(adj) for adj in state.index.values()) == 2 * len(elim)
             if ok:
-                for kk, er in state.elim.items():
-                    entry = (er, kk)
+                for a, b in elim:
                     if (
-                        entry not in state.index[kk[0]]
-                        or entry not in state.index[kk[1]]
+                        state.index[a].get((a, b)) != b
+                        or state.index[b].get((a, b)) != a
                     ):
                         ok = False
                         break

@@ -4,7 +4,7 @@ import pytest
 
 from dynmatch.cli import main
 from dynmatch.core import InstanceConfig
-from dynmatch.errors import ReplayError
+from dynmatch.errors import OracleLimitError, ReplayError
 from dynmatch.replay import replay
 from dynmatch.streams import StreamSpec, UpdateEvent, generate_stream
 
@@ -60,8 +60,41 @@ class TestReplay:
             outs.append(recs)
         assert outs[0] == outs[1]
 
+    def test_oracle_limit_checked_before_any_event(self, tmp_path):
+        events = [UpdateEvent("ins", 0, 1, 0)]
+        path = tmp_path / "metrics.jsonl"
+        with pytest.raises(OracleLimitError):
+            replay(events, InstanceConfig(9, 4, 2, algo_seed=1),
+                   oracle_every=1, metrics_path=path, oracle_limit=8)
+        assert not path.exists()
+        summary = replay(events, InstanceConfig(9, 4, 2, algo_seed=1),
+                         oracle_every=0, oracle_limit=8)
+        assert summary["events"] == 1
+
 
 class TestCli:
+    def test_run_above_oracle_limit_writes_nothing(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 2499}\n')
+        metrics = tmp_path / "m.jsonl"
+        summary = tmp_path / "summary.json"
+        rc = main([
+            "run", "--stream", str(stream), "--levels", "2", "--delta", "8",
+            "--out", str(metrics), "--summary", str(summary),
+        ])
+        assert rc == 2
+        assert not metrics.exists() and not summary.exists()
+        captured = capsys.readouterr()
+        assert "exceeds the exact oracle limit 2000" in captured.err
+        assert captured.out == ""
+
+    def test_run_malformed_stream_names_the_line(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 1}\n')
+        rc = main(["run", "--stream", str(stream), "--levels", "2", "--delta", "8"])
+        assert rc == 2
+        assert "line 1: missing field 'v'" in capsys.readouterr().err
+
     def test_gen_run_validate(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
         rc = main([

@@ -129,6 +129,8 @@ class TestNeighborsAbove:
         assert {k for k, _ in low} == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
     def test_scan_agrees_with_filtering_everything(self):
+        # both scans return lists in ascending (eliminator rank, edge) order,
+        # the order the pipeline replays level-graph updates in
         rng = random.Random(11)
         edges = {}
         st_ = MatchingState()
@@ -139,16 +141,19 @@ class TestNeighborsAbove:
             else:
                 st_.apply_delete(key)
                 del edges[key]
+        elim = st_.elim
         for v in range(10):
-            for f in (0.0, 0.1, 0.5, 0.9):
-                threshold = rank_at(f, (-1, -1))
-                got = dict(st_.neighbors_above(v, threshold))
-                want = {
-                    k: st_.elim[k]
-                    for k in edges
-                    if v in k and st_.elim[k] >= threshold
-                }
-                assert got == want
+            at_v = sorted((elim[k], k) for k in edges if v in k)
+            assert st_.incident(v) == [k for _, k in at_v]
+            thresholds = [rank_at(f, (-1, -1)) for f in (0.0, 0.1, 0.5, 0.9)]
+            if v in st_.k:
+                # just above k(v): every eliminator at v is <= k(v)
+                above = st_.k[v]._replace(hi=st_.k[v].hi + 1)
+                assert st_.neighbors_above(v, above) == []
+                thresholds.append(st_.k[v])
+            for threshold in thresholds:
+                want = [(k, e) for e, k in at_v if e >= threshold]
+                assert st_.neighbors_above(v, threshold) == want
 
 
 class TestOracleEquivalence:
@@ -268,13 +273,15 @@ class TestInvariants:
                 assert st_.matched_rank(v) == UNMATCHED_RANK
 
     def test_index_mirrors_eliminators(self):
+        # every live edge is indexed under both endpoints with the other
+        # endpoint as its neighbour, and nothing else is indexed; the
+        # eliminators it serves are min(k(u), k(v)) recomputed from k
         st_, _ = self._churn(6)
-        entries = [
-            (erank, key, nbr)
-            for v, sd in st_.index.items()
-            for (erank, key), nbr in sd.items()
-        ]
-        assert len(entries) == 2 * len(st_.elim)
-        for erank, key, nbr in entries:
-            assert st_.elim[key] == erank
-            assert nbr in key
+        assert sum(len(adj) for adj in st_.index.values()) == 2 * len(st_.rank_of)
+        for u, v in st_.rank_of:
+            assert st_.index[u][(u, v)] == v
+            assert st_.index[v][(u, v)] == u
+        assert st_.elim == {
+            (u, v): min(st_.matched_rank(u), st_.matched_rank(v))
+            for u, v in st_.rank_of
+        }

@@ -1,7 +1,7 @@
 import pytest
 
 from dynmatch.core import edge_key
-from dynmatch.errors import StreamSpecError
+from dynmatch.errors import ReplayError, StreamSpecError
 from dynmatch.streams import (
     StreamSpec,
     generate_stream,
@@ -100,3 +100,21 @@ class TestStreamFiles:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(events)
         assert all(line.startswith("{") for line in lines)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ('{"op": "ins", "u": 1}', "missing field 'v'"),
+            ('{"op": "ins", "u": 1, "v": ', "bad JSON"),
+            ('{"op": "upd", "u": 1, "v": 2}', "unknown op 'upd'"),
+            ('[1, 2]', "expected a JSON object"),
+            ('{"op": "del", "u": "1", "v": 2}', "vertex ids must be integers"),
+        ],
+    )
+    def test_malformed_line_names_its_line(self, tmp_path, bad, reason):
+        path = tmp_path / "stream.jsonl"
+        path.write_text('{"op": "ins", "u": 1, "v": 2}\n\n' + bad + "\n")
+        with pytest.raises(ReplayError) as err:
+            read_stream(path)
+        assert err.value.seq == 2
+        assert f"line 3: {reason}" in str(err.value)

@@ -1,8 +1,11 @@
 import random
+import threading
 
 import pytest
 
+from dynmatch.cli import main
 from dynmatch.core import Instance, InstanceConfig
+from dynmatch.errors import ConfigError
 from dynmatch.exact import max_matching_exact
 from dynmatch.reference import static_reference
 from dynmatch.validators import (
@@ -125,6 +128,25 @@ class TestSparsificationAudit:
         report = audit_sparsification(n=400, m=2400, trials=5, seed=5)
         assert report.passed
         assert report.fitted_c <= 4.0
+
+    def test_more_edges_than_pairs_rejected(self):
+        with pytest.raises(ConfigError):
+            audit_sparsification(n=10, m=46, trials=1)
+
+    def test_cli_suite_with_too_few_vertices_returns_at_once(self, capsys):
+        # the default m=20000 exceeds the 19900 pairs of 200 vertices
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(
+                main(["validate", "--suite", "sparsification", "--n", "200"])
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "validate did not return"
+        assert result == [2]
+        assert "do not fit" in capsys.readouterr().err
 
 
 class TestVertexSampling:
