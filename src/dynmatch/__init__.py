@@ -16,6 +16,7 @@ from .core import (
     ZERO_RANK,
     edge_key,
     level_of_rank,
+    make_rank,
     thresholds_for,
 )
 from .exact import ExactMatchingResult, IncrementalMatching, max_matching_exact
@@ -37,6 +38,7 @@ __all__ = [
     "ZERO_RANK",
     "edge_key",
     "level_of_rank",
+    "make_rank",
     "thresholds_for",
     "ExactMatchingResult",
     "IncrementalMatching",

@@ -4,6 +4,13 @@ Every piece of per-edge and per-vertex randomness used anywhere in the engine
 is drawn here, exactly once per edge arrival (or once per vertex at instance
 construction), so that replaying the same update stream with the same seed
 reproduces the identical execution bit for bit.
+
+A rank is one plain int, `value << 64 | lo << 32 | hi`: a 64-bit random value
+followed by the edge key (lo, hi) as a tie-break in two 32-bit fields.  Int
+order is then exactly the lexicographic order of (value, lo, hi), a rank
+comparison is one int comparison, and ranks are never tracked by the cyclic
+garbage collector.  The 32-bit tie fields cap the vertex universe at
+n <= 2^32 - 1 (`MAX_VERTICES`).
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import (
     CapacityError,
@@ -26,33 +33,26 @@ from .errors import (
 # the order over distinct edges is always total.
 RANK_SCALE = 2**64
 
-# Tiebreak component larger than any real vertex id; used by sentinel ranks and
-# interval thresholds so that a threshold never compares equal to a real rank.
-_TIE_MAX = 2**63
+#: Largest vertex universe: a vertex id must fit one 32-bit tie-break field.
+MAX_VERTICES = 2**32 - 1
 
 EdgeKey = tuple[int, int]
 
-
-class Rank(NamedTuple):
-    """A 64-bit fractional rank with an edge-key tiebreak.
-
-    Compares lexicographically: value first, then tiebreak.  `value / 2**64`
-    is the fraction of [0, 1) the rank denotes.
-    """
-
-    value: int
-    lo: int
-    hi: int
-
-    def as_float(self) -> float:
-        return self.value / RANK_SCALE
+#: A packed rank, `value << 64 | lo << 32 | hi` (see the module docstring).
+Rank = int
 
 
-#: Sentinel matched-rank for unmatched / absent vertices ("k(v) = 1").
-UNMATCHED_RANK = Rank(RANK_SCALE - 1, _TIE_MAX, _TIE_MAX)
+def make_rank(value: int, lo: int, hi: int) -> Rank:
+    """Pack a rank value and its edge-key tie-break into one int."""
+    return value << 64 | lo << 32 | hi
+
+
+#: Sentinel matched-rank for unmatched / absent vertices ("k(v) = 1"): the
+#: largest value with a tie-break above every real edge key.
+UNMATCHED_RANK = (RANK_SCALE - 1) << 64 | (RANK_SCALE - 1)
 
 #: Threshold below every real rank (used as "alpha = 0").
-ZERO_RANK = Rank(0, -1, -1)
+ZERO_RANK = -1
 
 
 def edge_key(u: int, v: int) -> EdgeKey:
@@ -70,7 +70,7 @@ def threshold_rank(fraction: float) -> Rank:
     it, matching the half-open interval convention of the level partition.
     """
     value = min(int(fraction * RANK_SCALE), RANK_SCALE)
-    return Rank(value, _TIE_MAX, _TIE_MAX)
+    return value << 64 | (RANK_SCALE - 1)
 
 
 def thresholds_for(delta_cap: int, levels: int) -> list[Rank]:
@@ -123,6 +123,11 @@ class InstanceConfig:
     def validate(self) -> None:
         if self.n <= 0:
             raise ConfigError("vertex count must be positive")
+        if self.n > MAX_VERTICES:
+            raise ConfigError(
+                f"vertex count {self.n} exceeds {MAX_VERTICES}, the largest "
+                "universe a rank's 32-bit tie-break fields can key"
+            )
         if self.delta_cap < 1:
             raise ConfigError("delta_cap must be at least 1")
         if self.levels < 1:
@@ -213,10 +218,9 @@ class Instance:
                 f"inserting {key} would exceed the declared degree bound {cap}"
             )
         lo, hi = key
-        ranks = tuple(
-            Rank(self._rng.getrandbits(64), lo, hi)
-            for _ in range(self.config.levels + 1)
-        )
+        tie = lo << 32 | hi
+        draw = self._rng.getrandbits
+        ranks = tuple([draw(64) << 64 | tie for _ in range(self.config.levels + 1)])
         sampled = tuple(
             self._rng.random() < self.config.sample_p
             for _ in range(self.config.levels)

@@ -25,6 +25,10 @@ class CapacityError(DynMatchError):
     """Insertion would push a vertex degree above the declared bound."""
 
 
+class UnknownOpError(DynMatchError):
+    """An update names an operation other than "ins" or "del"."""
+
+
 class ConsistencyError(DynMatchError):
     """Internal bookkeeping disagreed with itself; signals a pipeline bug."""
 

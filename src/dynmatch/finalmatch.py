@@ -9,7 +9,10 @@ the changed edge, so their cost depends on (L, k) only, not on n.
 Searches enumerate simple alternating paths with backtracking (matched hops
 are forced, so the branching factor is the degree once per unmatched hop);
 exhaustive enumeration at bounded depth side-steps the parity traps that
-bite marked-vertex searches in non-bipartite graphs.
+bite marked-vertex searches in non-bipartite graphs.  The recursive steps are
+methods that take their search state as arguments rather than closures over
+it, so a search leaves no reference cycle behind: everything it allocates is
+freed by reference counting, not by the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -165,65 +168,67 @@ class UnionMatcher:
         return None
 
     def _bounded_dfs(self, s: int, limit: int) -> list[int] | None:
-        mate = self.mate
-        adj = self.adj
-        visited = {s}
         path = [s]
+        return path if self._grow_augmenting(s, limit, {s}, path) else None
 
-        def grow(v: int, remaining: int) -> bool:
-            for x in sorted(adj.get(v, ())):
-                if x in visited:
-                    continue
-                partner = mate.get(x)
-                if partner is None:
-                    path.append(x)
+    def _grow_augmenting(
+        self, v: int, remaining: int, visited: set[int], path: list[int]
+    ) -> bool:
+        """Extend `path` (ending at v) to a free vertex within `remaining` edges."""
+        mate = self.mate
+        for x in sorted(self.adj.get(v, ())):
+            if x in visited:
+                continue
+            partner = mate.get(x)
+            if partner is None:
+                path.append(x)
+                return True
+            if remaining >= 3 and partner not in visited:
+                visited.add(x)
+                visited.add(partner)
+                path.append(x)
+                path.append(partner)
+                if self._grow_augmenting(partner, remaining - 2, visited, path):
                     return True
-                if remaining >= 3 and partner not in visited:
-                    visited.add(x)
-                    visited.add(partner)
-                    path.append(x)
-                    path.append(partner)
-                    if grow(partner, remaining - 2):
-                        return True
-                    visited.discard(x)
-                    visited.discard(partner)
-                    path.pop()
-                    path.pop()
-            return False
-
-        return path if grow(s, limit) else None
+                visited.discard(x)
+                visited.discard(partner)
+                path.pop()
+                path.pop()
+        return False
 
     def _halves(self, v: int, budget: int) -> list[tuple[list[int], frozenset[int]]]:
         """Even alternating paths leaving v through its matched edge and ending
         free; the zero-length half exists when v itself is free."""
         out: list[tuple[list[int], frozenset[int]]] = []
-        mate = self.mate
-        adj = self.adj
-        path = [v]
-        visited = {v}
-
-        def grow(w: int, remaining: int) -> None:
-            partner = mate.get(w)
-            if partner is None:
-                out.append((list(path), frozenset(visited)))
-                return
-            if remaining < 2 or partner in visited:
-                return
-            visited.add(partner)
-            path.append(partner)
-            for x in sorted(adj.get(partner, ())):
-                if x in visited:
-                    continue
-                visited.add(x)
-                path.append(x)
-                grow(x, remaining - 2)
-                visited.discard(x)
-                path.pop()
-            visited.discard(partner)
-            path.pop()
-
-        grow(v, budget)
+        self._grow_halves(v, budget, [v], {v}, out)
         return out
+
+    def _grow_halves(
+        self,
+        w: int,
+        remaining: int,
+        path: list[int],
+        visited: set[int],
+        out: list[tuple[list[int], frozenset[int]]],
+    ) -> None:
+        partner = self.mate.get(w)
+        if partner is None:
+            out.append((list(path), frozenset(visited)))
+            return
+        if remaining < 2 or partner in visited:
+            return
+        visited.add(partner)
+        path.append(partner)
+        for x in sorted(self.adj.get(partner, ())):
+            if x in visited:
+                continue
+            visited.add(x)
+            path.append(x)
+            self._grow_halves(x, remaining - 2, path, visited, out)
+            visited.discard(x)
+            path.pop()
+        visited.discard(partner)
+        path.pop()
 
     def _shortest_through(self, key: EdgeKey) -> list[int] | None:
         """Shortest augmenting path that uses `key` as an unmatched edge."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import EdgeKey, Instance, Rank
+from .errors import UnknownOpError
 from .finalmatch import UnionMatcher
 from .rgmm import DeltaList, MatchingState
 
@@ -123,8 +124,14 @@ class Pipeline:
     # -- updates ---------------------------------------------------------
 
     def handle_update(self, op: str, u: int, v: int) -> UpdateReport:
+        """Apply one edge insert ("ins") or delete ("del") through all four steps.
+
+        An update the instance rejects (unknown op, self-loop, vertex out of
+        range, duplicate insert, absent delete, degree above the cap) raises
+        a `DynMatchError` before any state changes.
+        """
         if op not in ("ins", "del"):
-            raise ValueError(f"unknown op {op!r}")
+            raise UnknownOpError(f"unknown op {op!r}")
         t0 = time.perf_counter_ns()
         pops0 = self.base.counters["pops"]
         level_deltas: dict[int, DeltaList] = {}

@@ -11,8 +11,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import Instance, InstanceConfig, edge_key
-from .errors import OracleLimitError, ReplayError
+from .core import Instance, InstanceConfig
+from .errors import DynMatchError, OracleLimitError, ReplayError
 from .exact import DEFAULT_ORACLE_LIMIT, max_matching_exact
 from .pipeline import Pipeline
 from .streams import UpdateEvent
@@ -35,7 +35,9 @@ def replay(
     """Feed events to the pipeline in order; return the summary dict.
 
     A run the exact oracle cannot check (n above `oracle_limit` with oracle
-    checkpoints on) is refused before any event is replayed or written.
+    checkpoints on) is refused before any event is replayed or written.  An
+    event the engine rejects stops the replay with a `ReplayError` naming
+    its sequence number.
     """
     if oracle_every and config.n > oracle_limit:
         raise OracleLimitError(
@@ -44,8 +46,6 @@ def replay(
         )
     inst = Instance(config)
     pipe = Pipeline(inst)
-    present: set = set()
-    deg = [0] * config.n
 
     out = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     times: list[int] = []
@@ -56,32 +56,17 @@ def replay(
     last_mu: int | None = None
     try:
         for ev in events:
-            key = edge_key(ev.u, ev.v)
-            if ev.op == "ins":
-                if key in present:
-                    raise ReplayError(ev.seq, f"insert of present edge {key}")
-                if deg[key[0]] >= config.delta_cap or deg[key[1]] >= config.delta_cap:
-                    raise ReplayError(ev.seq, f"insert of {key} exceeds delta")
-                present.add(key)
-                deg[key[0]] += 1
-                deg[key[1]] += 1
-            elif ev.op == "del":
-                if key not in present:
-                    raise ReplayError(ev.seq, f"delete of absent edge {key}")
-                present.remove(key)
-                deg[key[0]] -= 1
-                deg[key[1]] -= 1
-            else:
-                raise ReplayError(ev.seq, f"unknown op {ev.op!r}")
-
-            report = pipe.handle_update(ev.op, ev.u, ev.v)
+            try:
+                report = pipe.handle_update(ev.op, ev.u, ev.v)
+            except DynMatchError as exc:
+                raise ReplayError(ev.seq, str(exc)) from exc
             records += 1
             m0 = len(pipe.base.matching)
             answer = pipe.union.size()
             mu = None
             ratio = None
             if oracle_every and records % oracle_every == 0:
-                mu = max_matching_exact(config.n, present, limit=oracle_limit).size
+                mu = max_matching_exact(config.n, inst.records, limit=oracle_limit).size
                 ratio = answer / mu if mu else 1.0
                 ratios.append(ratio)
                 last_mu = mu

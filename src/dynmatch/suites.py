@@ -6,12 +6,13 @@ to the exit status.
 
 from __future__ import annotations
 
+import inspect
 import random
 from collections import defaultdict
 from typing import Callable
 
 from .core import EdgeKey, Instance, InstanceConfig
-from .errors import ConsistencyError, DynMatchError
+from .errors import ConfigError, ConsistencyError, DynMatchError
 from .exact import max_matching_exact
 from .pipeline import Pipeline
 from .reference import static_reference
@@ -162,7 +163,6 @@ def suite_sparsification(
     n: int = 2000,
     m: int = 20000,
     trials: int = 30,
-    seeds: int = 1,
     gate: float = 4.0,
 ) -> dict:
     report = audit_sparsification(n=n, m=m, trials=trials, seed=7, gate=gate)
@@ -175,7 +175,7 @@ def suite_sparsification(
     }
 
 
-def suite_sampling_lemma(trials: int = 10000, seeds: int = 1, instances: int = 20) -> dict:
+def suite_sampling_lemma(trials: int = 10000, instances: int = 20) -> dict:
     results = []
     # Complete bipartite K_{8,8} with a perfect matching, p = 0.25.
     edges = [(v, u) for v in range(8) for u in range(8)]
@@ -217,7 +217,7 @@ def suite_sampling_lemma(trials: int = 10000, seeds: int = 1, instances: int = 2
 
 
 def suite_partition_augmentation(
-    size: int = 5000, trials: int = 200, noise: int = 2500, seeds: int = 1
+    size: int = 5000, trials: int = 200, noise: int = 2500
 ) -> dict:
     gadget = augmentation_gadget(size, noise=noise, seed=5)
     stats = validate_partition_augmentation(gadget, p=0.03, trials=trials, seed=6)
@@ -231,7 +231,7 @@ def suite_partition_augmentation(
     }
 
 
-def suite_pivot_level(vectors: int = 10000, seeds: int = 1) -> dict:
+def suite_pivot_level(vectors: int = 10000) -> dict:
     rng = random.Random(17)
     failures = 0
     for levels in (2, 3, 4):
@@ -315,8 +315,18 @@ SUITES: dict[str, Callable[..., dict]] = {
 
 
 def run_validation(suite: str, **params) -> dict:
+    """Run one named suite; a parameter the suite does not take is a
+    `ConfigError` that names it, raised before the suite starts."""
     if suite not in SUITES:
         raise DynMatchError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
         )
-    return SUITES[suite](**params)
+    fn = SUITES[suite]
+    accepted = inspect.signature(fn).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigError(
+            f"suite {suite!r} does not take {', '.join(unknown)}; "
+            f"it takes {', '.join(accepted)}"
+        )
+    return fn(**params)

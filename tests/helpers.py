@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from dynmatch.core import Rank, edge_key
+from dynmatch.core import RANK_SCALE, Rank, edge_key, make_rank
 
 
 def brute_max_matching(n: int, edges) -> int:
@@ -41,11 +41,18 @@ def random_stream(rng: random.Random, n: int, steps: int, delete_p: float = 0.4)
             if u == v or edge_key(u, v) in present:
                 continue
             key = edge_key(u, v)
-            rank = Rank(rng.getrandbits(64), *key)
+            rank = make_rank(rng.getrandbits(64), *key)
             present[key] = rank
             yield "ins", key, rank
 
 
 def rank_at(fraction: float, key=(0, 1)) -> Rank:
-    """A deterministic test rank at the given fraction of [0, 1)."""
-    return Rank(int(fraction * 2**64), *key)
+    """A deterministic test rank at the given fraction of [0, 1); key (0, 0)
+    gives the rank below every real edge's rank at that value."""
+    return make_rank(int(fraction * 2**64), *key)
+
+
+def unpack_rank(rank: Rank) -> tuple[int, int, int]:
+    """(value, lo, hi) of a packed rank."""
+    tie = rank % RANK_SCALE
+    return rank >> 64, tie >> 32, tie & 0xFFFFFFFF

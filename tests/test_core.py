@@ -1,16 +1,20 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmatch.core import (
+    MAX_VERTICES,
     RANK_SCALE,
     Instance,
     InstanceConfig,
-    Rank,
     UNMATCHED_RANK,
     ZERO_RANK,
     edge_key,
     level_of_rank,
+    make_rank,
+    threshold_rank,
     thresholds_for,
 )
 from dynmatch.errors import (
@@ -21,7 +25,7 @@ from dynmatch.errors import (
     LoopEdgeError,
 )
 
-from helpers import rank_at
+from helpers import rank_at, unpack_rank
 
 
 def make_instance(n=4, delta=4, levels=2, seed=7, **kw):
@@ -54,6 +58,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_instance(**kw)
 
+    def test_vertex_universe_capped_at_32_bit_ids(self):
+        InstanceConfig(MAX_VERTICES, 4, 2).validate()
+        with pytest.raises(ConfigError, match="exceeds"):
+            InstanceConfig(2**32, 4, 2).validate()
+        with pytest.raises(ConfigError):
+            Instance(InstanceConfig(2**32, 4, 2))
+
     def test_answer_depth_defaults_to_levels_plus_one(self):
         assert InstanceConfig(4, 4, 3).answer_depth() == 4
         assert InstanceConfig(4, 4, 3, final_eps=0.25).answer_depth() == 4
@@ -67,7 +78,13 @@ class TestEdgeLifecycle:
         assert rec.key == (1, 2)
         assert len(rec.ranks) == inst.levels + 1
         assert len(rec.sampled) == inst.levels
-        assert all(r.lo == 1 and r.hi == 2 for r in rec.ranks)
+        assert all(unpack_rank(r)[1:] == (1, 2) for r in rec.ranks)
+
+    def test_ranks_are_not_tracked_by_the_collector(self):
+        inst = make_instance(n=6, levels=3)
+        for u, v in [(0, 1), (1, 2), (2, 5), (3, 4)]:
+            rec = inst.admit_edge(u, v)
+            assert all(not gc.is_tracked(r) for r in rec.ranks)
 
     def test_duplicate_rejected_after_canonicalization(self):
         inst = make_instance()
@@ -124,27 +141,60 @@ class TestEdgeLifecycle:
         assert outs[0] == outs[1]
 
 
+# A packed rank paired with the (value, lo, hi) triple it must order like.
+# Sentinels and thresholds carry a tie-break above every vertex id.
+_TIE_ABOVE = MAX_VERTICES
+_values = st.one_of(
+    st.integers(min_value=0, max_value=RANK_SCALE - 1),
+    st.sampled_from([0, 1, RANK_SCALE // 4, RANK_SCALE // 2, RANK_SCALE - 1]),
+)
+_vertex = st.integers(min_value=0, max_value=MAX_VERTICES - 1)
+_real_ranks = st.builds(
+    lambda value, key: (make_rank(value, *key), (value, *key)),
+    _values,
+    st.tuples(_vertex, _vertex).filter(lambda p: p[0] != p[1]).map(
+        lambda p: edge_key(*p)
+    ),
+)
+_threshold_ranks = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+).map(
+    lambda f: (
+        threshold_rank(f),
+        (min(int(f * RANK_SCALE), RANK_SCALE), _TIE_ABOVE, _TIE_ABOVE),
+    )
+)
+_sentinels = st.sampled_from(
+    [
+        (ZERO_RANK, (0, -1, -1)),
+        (UNMATCHED_RANK, (RANK_SCALE - 1, _TIE_ABOVE, _TIE_ABOVE)),
+    ]
+)
+_ranks = st.one_of(_real_ranks, _threshold_ranks, _sentinels)
+
+
 class TestRankLevels:
     def test_rank_order_is_total(self):
-        a = Rank(5, 0, 1)
-        b = Rank(5, 0, 2)
+        a = make_rank(5, 0, 1)
+        b = make_rank(5, 0, 2)
         assert a < b and not a == b
         assert ZERO_RANK < a < UNMATCHED_RANK
 
     def test_threshold_example_delta16_l2(self):
         # t_1 = 16^(-1/2) = 0.25
         th = thresholds_for(16, 2)
-        assert th[1].value == RANK_SCALE // 4
+        assert unpack_rank(th[1])[0] == RANK_SCALE // 4
         assert level_of_rank(rank_at(0.5), th) == 1
         # the interval is half-open: a rank exactly at the boundary value
         # falls in [0, t_1], i.e. level 2
-        assert level_of_rank(Rank(RANK_SCALE // 4, 0, 1), th) == 2
+        assert level_of_rank(make_rank(RANK_SCALE // 4, 0, 1), th) == 2
         assert level_of_rank(rank_at(0.1), th) == 2
 
     def test_thresholds_monotone(self):
         th = thresholds_for(32, 4)
         assert all(th[i] > th[i + 1] for i in range(4))
-        assert th[0].value == RANK_SCALE
+        assert unpack_rank(th[0])[0] == RANK_SCALE
 
     @given(
         value=st.integers(min_value=0, max_value=RANK_SCALE - 1),
@@ -154,7 +204,7 @@ class TestRankLevels:
     @settings(max_examples=300, deadline=None)
     def test_levels_partition_rank_space(self, value, delta, levels):
         th = thresholds_for(delta, levels)
-        r = Rank(value, 3, 7)
+        r = make_rank(value, 3, 7)
         lvl = level_of_rank(r, th)
         assert 1 <= lvl <= levels
         # membership matches the defining interval exactly
@@ -162,6 +212,13 @@ class TestRankLevels:
             assert th[lvl] < r <= th[lvl - 1]
         else:
             assert r <= th[levels - 1]
+
+    @given(a=_ranks, b=_ranks)
+    @settings(max_examples=500, deadline=None)
+    def test_packed_order_is_lexicographic(self, a, b):
+        (pa, la), (pb, lb) = a, b
+        assert (pa < pb) == (la < lb)
+        assert (pa == pb) == (la == lb)
 
     def test_alpha_for_level(self):
         inst = make_instance(delta=16, levels=2)

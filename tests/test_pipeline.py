@@ -1,8 +1,17 @@
+import gc
 import random
 
 import pytest
 
 from dynmatch.core import Instance, InstanceConfig
+from dynmatch.errors import (
+    CapacityError,
+    ConfigError,
+    DuplicateEdgeError,
+    EdgeNotFoundError,
+    LoopEdgeError,
+    UnknownOpError,
+)
 from dynmatch.exact import max_matching_exact
 from dynmatch.pipeline import Pipeline, Role
 from dynmatch.reference import static_reference
@@ -57,6 +66,67 @@ class TestSingleUpdates:
             assert pipe.snapshot() == static_reference(
                 inst.records.values(), inst.tapes, config
             )
+
+
+class TestRejectedUpdates:
+    """A rejected update raises a typed error and changes no state."""
+
+    @staticmethod
+    def _loaded():
+        # delta 2: vertices 0, 1 and 5 sit at the degree cap
+        inst, pipe = fresh(n=8, delta=2, levels=2, seed=5)
+        for u, v in [(0, 1), (0, 4), (1, 5), (5, 6)]:
+            pipe.handle_update("ins", u, v)
+        return inst, pipe
+
+    @pytest.mark.parametrize(
+        "op,u,v,error",
+        [
+            ("ins", 1, 0, DuplicateEdgeError),
+            ("del", 2, 3, EdgeNotFoundError),
+            ("ins", 0, 2, CapacityError),
+            ("ins", 2, 8, ConfigError),
+            ("ins", -1, 2, ConfigError),
+            ("ins", 3, 3, LoopEdgeError),
+            ("del", 3, 3, LoopEdgeError),
+            ("upd", 2, 3, UnknownOpError),
+        ],
+    )
+    def test_rejection_is_typed_and_changes_nothing(self, op, u, v, error):
+        inst, pipe = self._loaded()
+        before = pipe.snapshot()
+        degrees = list(inst.deg)
+        with pytest.raises(error):
+            pipe.handle_update(op, u, v)
+        assert pipe.snapshot() == before
+        assert inst.deg == degrees
+        # no randomness was drawn either: the next arrival gets the ranks a
+        # pipeline that never saw the rejection gives it
+        _, twin = self._loaded()
+        pipe.handle_update("ins", 2, 3)
+        twin.handle_update("ins", 2, 3)
+        assert pipe.snapshot() == twin.snapshot()
+
+
+class TestCollectorContract:
+    def test_replay_leaves_no_cyclic_garbage(self):
+        # Every object an update allocates is freed by reference counting,
+        # so the cyclic collector finds nothing after a replay.
+        events = generate_stream(
+            StreamSpec("erdos-churn", 200, 16, 2000, 71, {"target_edges": 800})
+        )
+        config = InstanceConfig(200, 16, 3, sample_p=0.12, algo_seed=72)
+        gc.collect()
+        gc.disable()
+        try:
+            pipe = Pipeline(Instance(config))
+            for ev in events:
+                pipe.handle_update(ev.op, ev.u, ev.v)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert len(pipe.current_answer()) > len(pipe.base.matching)
+        assert unreachable == 0
 
 
 class TestRoles:

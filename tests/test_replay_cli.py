@@ -30,6 +30,24 @@ class TestReplay:
             replay(events, InstanceConfig(4, 4, 2, algo_seed=1))
         assert err.value.seq == 0
 
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            (("ins", 0, 1), "already present"),
+            (("del", 2, 3), "not present"),
+            (("ins", 0, 2), "degree bound"),
+            (("ins", 0, 4), "outside universe"),
+            (("ins", 2, 2), "self-loop"),
+            (("upd", 2, 3), "unknown op"),
+        ],
+    )
+    def test_engine_rejection_names_the_event(self, bad, reason):
+        events = [UpdateEvent("ins", 0, 1, 0), UpdateEvent(*bad, 1)]
+        with pytest.raises(ReplayError) as err:
+            replay(events, InstanceConfig(4, 1, 2, algo_seed=1), oracle_every=1)
+        assert err.value.seq == 1
+        assert reason in str(err.value)
+
     def test_metrics_file_is_line_json(self, tmp_path):
         events = generate_stream(StreamSpec("erdos-churn", 12, 6, 50, seed=2))
         path = tmp_path / "metrics.jsonl"
@@ -117,6 +135,15 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert '"passed": true' in out
+
+    def test_validate_rejects_a_parameter_the_suite_does_not_take(self, capsys):
+        rc = main(["validate", "--suite", "pivot-level", "--trials", "5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert "pivot-level" in lines[0] and "trials" in lines[0]
 
     def test_validate_equivalence_small(self):
         rc = main([

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynmatch.core import UNMATCHED_RANK, edge_key
+from dynmatch.core import UNMATCHED_RANK, edge_key, make_rank
 from dynmatch.errors import DuplicateEdgeError, EdgeNotFoundError
 from dynmatch.rgmm import MatchingState, build_static
 
-from helpers import random_stream, rank_at
+from helpers import random_stream, rank_at, unpack_rank
 
 
 def ranked(*triples):
@@ -112,7 +112,7 @@ class TestApplyDelete:
 class TestNeighborsAbove:
     def test_threshold_zero_returns_all(self):
         st_ = build_static(ranked((0, 1, 0.2), (0, 2, 0.5), (0, 3, 0.9)))
-        got = {k for k, _ in st_.neighbors_above(0, rank_at(0.0, (-1, -1)))}
+        got = {k for k, _ in st_.neighbors_above(0, rank_at(0.0, (0, 0)))}
         assert got == {(0, 1), (0, 2), (0, 3)}
 
     def test_threshold_above_everything_is_empty(self):
@@ -145,10 +145,11 @@ class TestNeighborsAbove:
         for v in range(10):
             at_v = sorted((elim[k], k) for k in edges if v in k)
             assert st_.incident(v) == [k for _, k in at_v]
-            thresholds = [rank_at(f, (-1, -1)) for f in (0.0, 0.1, 0.5, 0.9)]
+            thresholds = [rank_at(f, (0, 0)) for f in (0.0, 0.1, 0.5, 0.9)]
             if v in st_.k:
                 # just above k(v): every eliminator at v is <= k(v)
-                above = st_.k[v]._replace(hi=st_.k[v].hi + 1)
+                value, lo, hi = unpack_rank(st_.k[v])
+                above = make_rank(value, lo, hi + 1)
                 assert st_.neighbors_above(v, above) == []
                 thresholds.append(st_.k[v])
             for threshold in thresholds:
