@@ -15,7 +15,6 @@ n <= 2^32 - 1 (`MAX_VERTICES`).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -110,14 +109,14 @@ class InstanceConfig:
 
     delta_cap is a declared capacity: insertions that would push a degree
     beyond it are rejected, and the level thresholds are computed once from
-    it.  levels = L sets the granularity eps = 1/L.
+    it.  levels = L sets the granularity eps = 1/L and the final matcher's
+    augmenting-path depth L + 1.
     """
 
     n: int
     delta_cap: int
     levels: int
     sample_p: float = 0.03
-    final_eps: float | None = None
     algo_seed: int = 0
 
     def validate(self) -> None:
@@ -134,18 +133,10 @@ class InstanceConfig:
             raise ConfigError("levels must be at least 1")
         if not 0.0 < self.sample_p < 0.125:
             raise ConfigError("sample_p must lie in (0, 1/8)")
-        if self.final_eps is not None and self.final_eps <= 0:
-            raise ConfigError("final_eps must be positive")
-
-    @property
-    def eps(self) -> float:
-        return 1.0 / self.levels
 
     def answer_depth(self) -> int:
         """Augmenting-path search depth k of the final matcher."""
-        if self.final_eps is None:
-            return self.levels + 1
-        return max(1, math.ceil(1.0 / self.final_eps))
+        return self.levels + 1
 
 
 class Instance:

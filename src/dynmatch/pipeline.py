@@ -14,6 +14,11 @@ One edge update runs four steps in order:
    base eliminator index above the trigger threshold and keep those passing
    the role filter -- levels deeper than the trigger are provably untouched;
 4. forward every matching delta into the union matcher.
+
+The trigger level is the level of the updated edge's base rank r.  Greedy
+order below r is the same before and after the update, so every edge that
+moves in M_0 ranks at or above r, and the updated edge itself is in every
+non-empty base delta: r is the lowest rank the update touches.
 """
 
 from __future__ import annotations
@@ -51,10 +56,12 @@ RoleDeltas = dict[int, list[tuple[int, Role, Role]]]
 
 @dataclass
 class LevelState:
-    """Everything level i owns: its slice of M_0 and its second-stage graph."""
+    """Everything level i owns: its second-stage graph G_i and matching M_i.
 
-    level: int
-    members: set[EdgeKey] = field(default_factory=set)
+    Its slice of M_0 is not stored: `snapshot()` derives it from the base
+    matching's ranks.
+    """
+
     state: MatchingState = field(default_factory=MatchingState)
 
 
@@ -65,7 +72,9 @@ class UpdateReport:
     op: str
     key: EdgeKey
     base_delta: DeltaList
-    level_deltas: dict[int, DeltaList]
+    #: (level, delta) for every level-matching operation that changed
+    #: something, in operation order.
+    level_deltas: list[tuple[int, DeltaList]]
     answer_delta: DeltaList
     trigger_level: int | None = None
     role_changes: int = 0
@@ -88,7 +97,7 @@ class Pipeline:
         self.inst = instance
         self.base = MatchingState()
         self.levels: dict[int, LevelState] = {
-            i: LevelState(i) for i in range(1, instance.levels + 1)
+            i: LevelState() for i in range(1, instance.levels + 1)
         }
         # On the empty graph every vertex is unmatched, hence on the U side
         # of every level, split by its partition coin.
@@ -107,14 +116,14 @@ class Pipeline:
         """The maintained matching over M_0 u M_1 u ... u M_L."""
         return self.union.matching()
 
-    def level_sizes(self) -> dict[int, int]:
-        return {i: len(ls.members) for i, ls in self.levels.items()}
-
     def snapshot(self) -> dict:
         """Full comparable state (the shape the static reference also builds)."""
+        members: dict[int, set[EdgeKey]] = {i: set() for i in self.levels}
+        for key in self.base.matching:
+            members[self.inst.level_of_rank(self.base.rank_of[key])].add(key)
         return {
             "m0": self.base.snapshot(),
-            "members": {i: frozenset(ls.members) for i, ls in self.levels.items()},
+            "members": {i: frozenset(keys) for i, keys in members.items()},
             "roles": {i: tuple(self.role[i]) for i in self.role},
             "g_edges": {i: dict(ls.state.rank_of) for i, ls in self.levels.items()},
             "m_i": {i: ls.state.snapshot() for i, ls in self.levels.items()},
@@ -134,10 +143,9 @@ class Pipeline:
             raise UnknownOpError(f"unknown op {op!r}")
         t0 = time.perf_counter_ns()
         pops0 = self.base.counters["pops"]
-        level_deltas: dict[int, DeltaList] = {}
         # Union updates must replay in operation order: one pipeline update
         # can make an edge join a level matching and then leave it again.
-        op_log: list[DeltaList] = []
+        level_deltas: list[tuple[int, DeltaList]] = []
         trigger = None
         probes = 0
         role_changes = 0
@@ -161,15 +169,14 @@ class Pipeline:
                 i = self._membership_level(key)
                 if i is not None:
                     d = self.levels[i].state.apply_insert(key, record.ranks[i])
-                    self._merge(level_deltas, i, d, op_log)
+                    self._log_level_delta(level_deltas, i, d)
             else:
                 for i, ls in self.levels.items():
                     if key in ls.state.rank_of:
                         d = ls.state.apply_delete(key)
-                        self._merge(level_deltas, i, d, op_log)
+                        self._log_level_delta(level_deltas, i, d)
                         break
         else:
-            self._update_members(base_delta)
             # Step 2: roles of every endpoint the base delta touched.
             changed: set[int] = set()
             for moved in (base_delta.left, base_delta.joined):
@@ -178,15 +185,15 @@ class Pipeline:
                     changed.add(b)
             role_deltas = self.update_roles(changed)
             role_changes = sum(len(v) for v in role_deltas.values())
-            # Step 3: level graph memberships, pruned by the trigger level.
-            rmin = base_delta.min_rank()
-            trigger = self.inst.level_of_rank(rmin)
+            # Step 3: level graph memberships, pruned by the trigger level,
+            # the level of the updated edge's base rank (module docstring).
+            trigger = self.inst.level_of_rank(record.ranks[0])
             alpha = self.inst.alpha_for_level(trigger)
-            probes = self.rebuild_memberships(role_deltas, alpha, level_deltas, op_log)
+            probes = self.rebuild_memberships(role_deltas, alpha, level_deltas)
 
         # Step 4: forward all deltas to the final matcher, in operation order.
         answer_delta = DeltaList()
-        for delta in [base_delta, *op_log]:
+        for _, delta in [(0, base_delta), *level_deltas]:
             for k_ in delta.left:
                 answer_delta.extend(self.union.remove(k_))
             for k_ in delta.joined:
@@ -222,12 +229,11 @@ class Pipeline:
         self,
         role_deltas: RoleDeltas,
         alpha: Rank,
-        level_deltas: dict[int, DeltaList],
-        op_log: list[DeltaList] | None = None,
+        level_deltas: list[tuple[int, DeltaList]],
     ) -> int:
         """Replay role changes onto the level graphs: vertex-set leaves first,
-        then joins, levels in increasing order.  Returns the total
-        candidate-list size probed."""
+        then joins, levels in increasing order.  Appends each level delta to
+        `level_deltas`; returns the total candidate-list size probed."""
         probes = 0
         for i in sorted(role_deltas):
             ls = self.levels[i]
@@ -235,7 +241,7 @@ class Pipeline:
                 if old is Role.ABSENT:
                     continue
                 for key in ls.state.incident(v):
-                    self._merge(level_deltas, i, ls.state.apply_delete(key), op_log)
+                    self._log_level_delta(level_deltas, i, ls.state.apply_delete(key))
         for i in sorted(role_deltas):
             ls = self.levels[i]
             role = self.role[i]
@@ -251,23 +257,17 @@ class Pipeline:
                     if (role[v], role[x]) in _PAIR_OK:
                         rec = self.inst.records[key]
                         d = ls.state.apply_insert(key, rec.ranks[i])
-                        self._merge(level_deltas, i, d, op_log)
+                        self._log_level_delta(level_deltas, i, d)
         return probes
 
     # -- internals -------------------------------------------------------
 
     @staticmethod
-    def _merge(
-        level_deltas: dict[int, DeltaList],
-        i: int,
-        d: DeltaList,
-        op_log: list[DeltaList] | None = None,
+    def _log_level_delta(
+        level_deltas: list[tuple[int, DeltaList]], i: int, d: DeltaList
     ) -> None:
-        if not d:
-            return
-        level_deltas.setdefault(i, DeltaList()).extend(d)
-        if op_log is not None:
-            op_log.append(d)
+        if d:
+            level_deltas.append((i, d))
 
     def _match_level(self, v: int) -> int:
         """0 when v is unmatched in M_0, else the level of its matched edge."""
@@ -292,11 +292,3 @@ class Pipeline:
             if (self.role[i][u], self.role[i][v]) in _PAIR_OK:
                 return i
         return None
-
-    def _update_members(self, base_delta: DeltaList) -> None:
-        for key in base_delta.left:
-            level = self.inst.level_of_rank(base_delta.ranks[key])
-            self.levels[level].members.discard(key)
-        for key in base_delta.joined:
-            level = self.inst.level_of_rank(base_delta.ranks[key])
-            self.levels[level].members.add(key)

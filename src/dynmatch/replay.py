@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import Instance, InstanceConfig
-from .errors import DynMatchError, OracleLimitError, ReplayError
+from .errors import ConfigError, DynMatchError, OracleLimitError, ReplayError
 from .exact import DEFAULT_ORACLE_LIMIT, max_matching_exact
 from .pipeline import Pipeline
 from .streams import UpdateEvent
@@ -39,6 +39,10 @@ def replay(
     event the engine rejects stops the replay with a `ReplayError` naming
     its sequence number.
     """
+    if oracle_every < 0:
+        raise ConfigError(
+            f"oracle_every must be >= 0 (0 turns oracle checks off), got {oracle_every}"
+        )
     if oracle_every and config.n > oracle_limit:
         raise OracleLimitError(
             f"n={config.n} exceeds the exact oracle limit {oracle_limit}; "
@@ -74,6 +78,9 @@ def replay(
             adjusts.append(report.adjustment_complexity())
             last = {"m0": m0, "answer": answer}
             if out is not None:
+                sizes: dict[str, int] = {}
+                for i, d in report.level_deltas:
+                    sizes[str(i)] = sizes.get(str(i), 0) + d.size()
                 rec = {
                     "seq": ev.seq,
                     "op": ev.op,
@@ -84,9 +91,7 @@ def replay(
                     "mu": mu,
                     "ratio": ratio,
                     "m0_delta": report.adjustment_complexity(),
-                    "level_deltas": {
-                        str(i): d.size() for i, d in report.level_deltas.items()
-                    },
+                    "level_deltas": sizes,
                     "lv_probe": report.candidate_probes,
                     "ns": report.elapsed_ns,
                 }

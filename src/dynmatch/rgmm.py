@@ -29,16 +29,17 @@ from .errors import DuplicateEdgeError, EdgeNotFoundError
 
 @dataclass
 class DeltaList:
-    """Edges that left / joined the matching during one update, in cascade order.
+    """Edges that left / joined a matching during one operation, each list in
+    the order the edges moved.
 
-    `ranks` records the rank each listed edge had at the moment it moved,
-    which callers need for level bookkeeping after deletions.
+    A non-empty delta from `apply_insert` / `apply_delete` always lists the
+    updated edge itself, and every other edge in it ranks above that edge
+    (greedy order below the updated rank is untouched), so the updated
+    edge's rank is the lowest rank in the delta.
     """
 
     left: list[EdgeKey] = field(default_factory=list)
     joined: list[EdgeKey] = field(default_factory=list)
-
-    ranks: dict[EdgeKey, Rank] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return bool(self.left or self.joined)
@@ -47,13 +48,9 @@ class DeltaList:
         """Adjustment complexity: number of matching edges changed."""
         return len(self.left) + len(self.joined)
 
-    def min_rank(self) -> Rank | None:
-        return min(self.ranks.values()) if self.ranks else None
-
     def extend(self, other: "DeltaList") -> None:
         self.left.extend(other.left)
         self.joined.extend(other.joined)
-        self.ranks.update(other.ranks)
 
 
 class MatchingState:
@@ -170,25 +167,23 @@ class MatchingState:
             for w in (u, v):
                 old = self.matched.get(w)
                 if old is not None:
-                    self._record_left(delta, old)
+                    self._unmatch(old)
+                    delta.left.append(old)
                     seeds.append(old[0] if old[1] == w else old[1])
             self._match(key, rank)
             delta.joined.append(key)
-            delta.ranks[key] = rank
             self._cascade(seeds, delta)
         return delta
 
     def apply_delete(self, key: EdgeKey) -> DeltaList:
         """Delete an edge; returns exactly the matching changes it caused."""
-        rank = self.rank_of.pop(key, None)
-        if rank is None:
+        if self.rank_of.pop(key, None) is None:
             raise EdgeNotFoundError(f"edge {key} not present")
         self._index_remove(key)
         delta = DeltaList()
         if key in self.matching:
             self._unmatch(key)
             delta.left.append(key)
-            delta.ranks[key] = rank
             self._cascade(list(key), delta)
         return delta
 
@@ -207,11 +202,6 @@ class MatchingState:
         del self.matched[u], self.matched[v]
         del self.k[u], self.k[v]
         self.matching.remove(key)
-
-    def _record_left(self, delta: DeltaList, key: EdgeKey) -> None:
-        delta.ranks[key] = self.rank_of[key]
-        delta.left.append(key)
-        self._unmatch(key)
 
     def _index_add(self, key: EdgeKey) -> None:
         u, v = key
@@ -271,10 +261,10 @@ class MatchingState:
                 continue
             old = self.matched.get(x)
             if old is not None:
-                self._record_left(delta, old)
+                self._unmatch(old)
+                delta.left.append(old)
             self._match(key, rank)
             delta.joined.append(key)
-            delta.ranks[key] = rank
             if old is not None:
                 push(old[0] if old[1] == x else old[1])
 

@@ -111,6 +111,8 @@ def _erdos_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
 
 def _sliding_window(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
     window = spec.params.get("window", max(spec.n, 8))
+    if window < 1:
+        raise StreamSpecError(f"sliding-window needs window >= 1, got {window}")
     mirror = _Mirror(spec.n, spec.delta)
     history: list[UpdateEvent] = []
     for seq in range(spec.length):

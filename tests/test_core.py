@@ -67,8 +67,6 @@ class TestConfig:
 
     def test_answer_depth_defaults_to_levels_plus_one(self):
         assert InstanceConfig(4, 4, 3).answer_depth() == 4
-        assert InstanceConfig(4, 4, 3, final_eps=0.25).answer_depth() == 4
-        assert InstanceConfig(4, 4, 3, final_eps=0.5).answer_depth() == 2
 
 
 class TestEdgeLifecycle:

@@ -30,7 +30,7 @@ class TestSingleUpdates:
         report = pipe.handle_update("ins", 1, 2)
         assert pipe.base.matching == {(1, 2)}
         level = inst.level_of_rank(inst.records[(1, 2)].ranks[0])
-        assert pipe.levels[level].members == {(1, 2)}
+        assert pipe.snapshot()["members"][level] == {(1, 2)}
         # both endpoints changed roles away from the U side at their level
         assert report.role_changes >= 2
         for ls in pipe.levels.values():
@@ -52,7 +52,7 @@ class TestSingleUpdates:
             pytest.skip("seed produced no such edge")
         report = pipe.handle_update("del", *target)
         assert not report.base_delta
-        assert report.level_deltas == {}
+        assert report.level_deltas == []
         assert not report.answer_delta
 
     def test_snapshot_matches_reference_after_each_single_update(self):
@@ -106,6 +106,34 @@ class TestRejectedUpdates:
         pipe.handle_update("ins", 2, 3)
         twin.handle_update("ins", 2, 3)
         assert pipe.snapshot() == twin.snapshot()
+
+
+class TestLevelDeltaOrder:
+    def test_level_deltas_replay_old_to_new_in_order(self):
+        # The union matcher replays report.level_deltas in list order, so
+        # the list alone must carry each M_i from its old to its new value.
+        events = generate_stream(
+            StreamSpec("erdos-churn", 200, 16, 3000, 73, {"target_edges": 800})
+        )
+        inst = Instance(InstanceConfig(200, 16, 3, sample_p=0.12, algo_seed=74))
+        pipe = Pipeline(inst)
+        revisits = 0
+        for ev in events:
+            cur = {i: set(ls.state.matching) for i, ls in pipe.levels.items()}
+            report = pipe.handle_update(ev.op, ev.u, ev.v)
+            for i, d in report.level_deltas:
+                for key in d.left:
+                    assert key in cur[i]
+                    cur[i].remove(key)
+                for key in d.joined:
+                    assert key not in cur[i]
+                    cur[i].add(key)
+            for i, ls in pipe.levels.items():
+                assert cur[i] == ls.state.matching
+            levels = [i for i, _ in report.level_deltas]
+            revisits += len(levels) - len(set(levels))
+        # the stream exercises updates that touch one level more than once
+        assert revisits > 0
 
 
 class TestCollectorContract:
@@ -179,9 +207,9 @@ class TestRoles:
 class TestRebuild:
     def test_no_role_deltas_no_level_changes(self):
         _, pipe = fresh()
-        deltas = {}
+        deltas = []
         probes = pipe.rebuild_memberships({}, pipe.inst.alpha_for_level(1), deltas)
-        assert probes == 0 and deltas == {}
+        assert probes == 0 and deltas == []
 
     def test_candidate_scan_covers_level_edges(self):
         # every maintained level edge at v must be visible to the range scan

@@ -113,6 +113,35 @@ class TestCli:
         assert rc == 2
         assert "line 1: missing field 'v'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_gen_rejects_a_window_below_one(self, tmp_path, capsys, window):
+        out = tmp_path / "s.jsonl"
+        rc = main([
+            "gen", "--generator", "sliding-window", "--n", "16", "--delta", "8",
+            "--len", "40", "--window", window, "--out", str(out),
+        ])
+        assert rc == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert f"window >= 1, got {window}" in lines[0]
+
+    def test_run_rejects_a_negative_oracle_every(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
+        metrics = tmp_path / "m.jsonl"
+        rc = main([
+            "run", "--stream", str(stream), "--levels", "2", "--delta", "8",
+            "--oracle-every", "-3", "--out", str(metrics),
+        ])
+        assert rc == 2
+        assert not metrics.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert "oracle_every must be >= 0" in lines[0] and "-3" in lines[0]
+
     def test_gen_run_validate(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
         rc = main([

@@ -265,6 +265,34 @@ class TestInvariants:
                     assert after["elim"][key] == erank
                     assert (key in before["matching"]) == (key in after["matching"])
 
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        coarse=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_delta_lists_the_update_and_nothing_below_it(self, seed, coarse):
+        # The pipeline takes its trigger level from the updated edge's rank
+        # alone: a non-empty delta must list that edge, and every edge it
+        # lists must rank at or above it.  Coarse rank values make most
+        # comparisons fall to the key tie-break.
+        rng = random.Random(seed)
+        st_ = MatchingState()
+        for op, key, rank in random_stream(rng, rng.randint(2, 9), 60):
+            ranks = dict(st_.rank_of)
+            if op == "ins":
+                if coarse:
+                    rank = make_rank(rng.randrange(3), *key)
+                ranks[key] = rank
+                d = st_.apply_insert(key, rank)
+                lists_update = key in d.joined
+            else:
+                rank = ranks[key]
+                d = st_.apply_delete(key)
+                lists_update = key in d.left
+            if d:
+                assert lists_update
+                assert all(ranks[e] >= rank for e in d.left + d.joined)
+
     def test_sentinel_for_unmatched(self):
         st_, _ = self._churn(4)
         for v in range(10):
