@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import InstanceConfig
@@ -54,12 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; an input or configuration the engine rejects
-    exits with status 2 and a one-line message on stderr."""
+    """Run one subcommand; an input or configuration the engine rejects, or
+    a file that cannot be read or written, exits with status 2 and a
+    one-line message on stderr."""
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except DynMatchError as exc:
+    except (DynMatchError, OSError) as exc:
         print(f"dynmatch {args.command}: error: {exc}", file=sys.stderr)
         return 2
 
@@ -90,14 +92,25 @@ def _run(args: argparse.Namespace) -> int:
             sample_p=args.sample_p,
             algo_seed=args.seed,
         )
-        summary = replay(
-            events,
-            config,
-            oracle_every=args.oracle_every,
-            metrics_path=args.out,
-        )
-        if args.summary:
-            write_summary(summary, args.summary)
+        # Open the summary destination before the first event, so a bad path
+        # fails before any work; a run that fails leaves no summary file.
+        summary_fh = open(args.summary, "w", encoding="utf-8") if args.summary else None
+        written = False
+        try:
+            summary = replay(
+                events,
+                config,
+                oracle_every=args.oracle_every,
+                metrics_path=args.out,
+            )
+            if summary_fh is not None:
+                write_summary(summary, summary_fh)
+            written = True
+        finally:
+            if summary_fh is not None:
+                summary_fh.close()
+                if not written:
+                    os.unlink(args.summary)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
 

@@ -7,12 +7,15 @@ One edge update runs four steps in order:
 1. update the base matching and collect the list of matched edges that moved;
    if nothing moved, reflect the edge itself in the one level graph it may
    belong to;
-2. recompute the role of every vertex whose base match status changed (a
-   vertex's role at each level is a pure function of its matching edge);
+2. recompute the roles of every vertex whose base match status changed.  A
+   vertex's role at each level is a pure function of its match level (the
+   level of its M_0 edge, 0 when unmatched) and that edge: absent below the
+   match level, U side above it.  So only the levels between the old and the
+   new match level are recomputed;
 3. replay role changes onto the level graphs: departing vertices drop their
-   incident level edges, arriving vertices pull candidate neighbors from the
-   base eliminator index above the trigger threshold and keep those passing
-   the role filter -- levels deeper than the trigger are provably untouched;
+   incident level edges, arriving vertices scan the base eliminator index
+   above the trigger threshold for neighbors holding the partner role --
+   levels deeper than the trigger are provably untouched;
 4. forward every matching delta into the union matcher.
 
 The trigger level is the level of the updated edge's base rank r.  Greedy
@@ -42,13 +45,18 @@ class Role(Enum):
     V_B = "VB"
     ABSENT = "-"
 
+    # Members are singletons and compare by identity, so the C-level identity
+    # hash agrees with `==` and spares the level filter `Enum.__hash__`.
+    __hash__ = object.__hash__
 
-#: The four edge admissions of the level filter: (V side, matching U side).
-_PAIR_OK = {
-    (Role.V_A, Role.U_A),
-    (Role.U_A, Role.V_A),
-    (Role.V_B, Role.U_B),
-    (Role.U_B, Role.V_B),
+
+#: The level filter admits edge uv at level i iff role[i][v] is the partner of
+#: role[i][u]: a V side pairs with the U side of its own A/B class.
+_PARTNER = {
+    Role.V_A: Role.U_A,
+    Role.U_A: Role.V_A,
+    Role.V_B: Role.U_B,
+    Role.U_B: Role.V_B,
 }
 
 RoleDeltas = dict[int, list[tuple[int, Role, Role]]]
@@ -108,6 +116,8 @@ class Pipeline:
             ]
             for i in range(1, instance.levels + 1)
         }
+        #: Per vertex: 0 when unmatched in M_0, else the level of its M_0 edge.
+        self.match_level: list[int] = [0] * instance.n
         self.union = UnionMatcher(instance.config.answer_depth())
 
     # -- queries ---------------------------------------------------------
@@ -163,19 +173,16 @@ class Pipeline:
             base_delta = self.base.apply_delete(key)
 
         if not base_delta:
-            # M_0 unchanged: the updated edge itself may still belong to a
-            # level graph; reflect exactly that.
-            if op == "ins":
-                i = self._membership_level(key)
-                if i is not None:
-                    d = self.levels[i].state.apply_insert(key, record.ranks[i])
-                    self._log_level_delta(level_deltas, i, d)
-            else:
-                for i, ls in self.levels.items():
-                    if key in ls.state.rank_of:
-                        d = ls.state.apply_delete(key)
-                        self._log_level_delta(level_deltas, i, d)
-                        break
+            # M_0 and the roles are unchanged: the updated edge itself may
+            # still belong to a level graph; reflect exactly that.
+            i = self._membership_level(key)
+            if i is not None:
+                state = self.levels[i].state
+                if op == "ins":
+                    d = state.apply_insert(key, record.ranks[i])
+                else:
+                    d = state.apply_delete(key)
+                self._log_level_delta(level_deltas, i, d)
         else:
             # Step 2: roles of every endpoint the base delta touched.
             changed: set[int] = set()
@@ -213,11 +220,22 @@ class Pipeline:
         )
 
     def update_roles(self, changed: set[int]) -> RoleDeltas:
-        """Recompute the role case table for every vertex whose match status moved."""
+        """Recompute the role case table for every vertex whose match status
+        moved, and keep `match_level` current.
+
+        Only levels from max(1, min(old, new)) to max(old, new) of the
+        vertex's old and new match levels can change: below both it is
+        absent, above both it is on the U side.  Level `new` is recomputed
+        even when old == new, since the vertex may have been rematched to
+        another edge of the same level.
+        """
         deltas: RoleDeltas = {}
+        match_level = self.match_level
         for v in sorted(changed):
+            was = match_level[v]
             lv = self._match_level(v)
-            for i in range(1, self.inst.levels + 1):
+            match_level[v] = lv
+            for i in range(max(1, min(was, lv)), max(was, lv) + 1):
                 new = self._role_for(v, i, lv)
                 old = self.role[i][v]
                 if new is not old:
@@ -233,7 +251,8 @@ class Pipeline:
     ) -> int:
         """Replay role changes onto the level graphs: vertex-set leaves first,
         then joins, levels in increasing order.  Appends each level delta to
-        `level_deltas`; returns the total candidate-list size probed."""
+        `level_deltas`; returns the number of candidates probed, the edges
+        the role-filtered scans returned."""
         probes = 0
         for i in sorted(role_deltas):
             ls = self.levels[i]
@@ -248,13 +267,13 @@ class Pipeline:
             for v, old, new in role_deltas[i]:
                 if new is Role.ABSENT:
                     continue
-                candidates = self.base.neighbors_above(v, alpha)
+                # Roles are final for this update, so filtering on the
+                # partner role inside the scan admits what the level filter
+                # would, in the same order.
+                candidates = self.base.neighbors_above(v, alpha, role, _PARTNER[new])
                 probes += len(candidates)
                 for key, _ in candidates:
-                    if key in ls.state.rank_of:
-                        continue
-                    x = key[0] if key[1] == v else key[1]
-                    if (role[v], role[x]) in _PAIR_OK:
+                    if key not in ls.state.rank_of:
                         rec = self.inst.records[key]
                         d = ls.state.apply_insert(key, rec.ranks[i])
                         self._log_level_delta(level_deltas, i, d)
@@ -286,9 +305,13 @@ class Pipeline:
         return Role.V_A if v == key[0] else Role.V_B
 
     def _membership_level(self, key: EdgeKey) -> int | None:
-        """The unique level graph the edge belongs to under current roles."""
+        """The unique level graph the edge belongs to under current roles.
+
+        A V side at level i is matched at level i and a U side is matched
+        below i, so only i = max(match levels) can admit the edge.
+        """
         u, v = key
-        for i in range(1, self.inst.levels + 1):
-            if (self.role[i][u], self.role[i][v]) in _PAIR_OK:
-                return i
+        i = max(self.match_level[u], self.match_level[v])
+        if i and _PARTNER.get(self.role[i][u]) is self.role[i][v]:
+            return i
         return None

@@ -11,8 +11,18 @@ from typing import Iterable, Sequence
 
 from .core import EdgeKey, EdgeRecord, InstanceConfig, level_of_rank, thresholds_for
 from .exact import max_matching_exact
-from .pipeline import _PAIR_OK, Role
+from .pipeline import Role
 from .rgmm import build_static
+
+#: The paper's level filter, stated independently of the engine: an edge
+#: enters G_i when one endpoint is a V side at level i and the other is the U
+#: side of the same class (V_A with U_A, V_B with U_B).
+_ADMITTED = {
+    (Role.V_A, Role.U_A),
+    (Role.U_A, Role.V_A),
+    (Role.V_B, Role.U_B),
+    (Role.U_B, Role.V_B),
+}
 
 
 def static_reference(
@@ -67,7 +77,7 @@ def static_reference(
     for rec in records:
         u, v = rec.key
         for i in range(1, levels + 1):
-            if (roles[i][u], roles[i][v]) in _PAIR_OK:
+            if (roles[i][u], roles[i][v]) in _ADMITTED:
                 g_edges[i][rec.key] = rec.ranks[i]
 
     m_i = {i: build_static(g_edges[i].items()) for i in range(1, levels + 1)}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from .core import Instance, InstanceConfig
 from .errors import ConfigError, DynMatchError, OracleLimitError, ReplayError
@@ -122,7 +122,6 @@ def replay(
     return summary
 
 
-def write_summary(summary: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_summary(summary: dict, fh: TextIO) -> None:
+    json.dump(summary, fh, indent=2, sort_keys=True)
+    fh.write("\n")

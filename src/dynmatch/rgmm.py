@@ -11,17 +11,19 @@ itself if matched).  Since a matching has at most one edge per vertex, the
 eliminator rank of edge uv is simply min(k(u), k(v)) where k(.) is the
 matched rank (sentinel 1 when free), so it is derived from k on demand and
 never stored.  The per-vertex adjacency index is unordered: a candidate scan
-at v costs O(deg(v)) plus sorting what it returns, with an O(1) early exit
-when k(v) is below the threshold.  An index kept sorted by eliminator rank
-would make that scan output-sensitive, but re-keying it on every matching
-change cost more than it saved at every degree cap measured (32 to 4096).
+at v costs O(deg(v)) plus sorting what it keeps, with an O(1) early exit
+when k(v) is below the threshold.  A scan can also filter on a per-vertex
+label of the far endpoint before the sort, so it sorts only what its caller
+keeps.  An index kept sorted by eliminator rank would make that scan
+output-sensitive, but re-keying it on every matching change cost more than
+it saved at every degree cap measured (32 to 4096).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import UNMATCHED_RANK, ZERO_RANK, EdgeKey, Rank
 from .errors import DuplicateEdgeError, EdgeNotFoundError
@@ -66,7 +68,8 @@ class MatchingState:
     elim : edge -> eliminator rank, computed from k on every read.
     index : vertex -> unordered dict mapping incident edge -> neighbor.  A
         candidate scan at v (`neighbors_above`, `incident`) filters it in
-        O(deg(v)) and sorts what it keeps, or returns in O(1) when k(v) is
+        O(deg(v)), by eliminator rank and optionally by a label of the
+        neighbor, and sorts what it keeps, or returns in O(1) when k(v) is
         below the threshold.
 
     Single-writer; `apply_insert` / `apply_delete` restore all invariants
@@ -101,17 +104,31 @@ class MatchingState:
         """Incident edges in increasing (eliminator rank, edge) order."""
         return [key for (_, key) in self._by_eliminator(v, ZERO_RANK)]
 
-    def neighbors_above(self, v: int, threshold: Rank) -> list[tuple[EdgeKey, Rank]]:
-        """Incident edges whose eliminator rank is >= threshold, as
-        (edge, eliminator rank) in increasing (eliminator rank, edge) order."""
-        return [(key, erank) for (erank, key) in self._by_eliminator(v, threshold)]
+    def neighbors_above(
+        self, v: int, threshold: Rank, label: Sequence[object], want: object
+    ) -> list[tuple[EdgeKey, Rank]]:
+        """Incident edges vx whose eliminator rank is >= threshold and whose
+        far endpoint has `label[x] is want`, as (edge, eliminator rank) in
+        increasing (eliminator rank, edge) order."""
+        return [
+            (key, erank)
+            for (erank, key) in self._by_eliminator(v, threshold, label, want)
+        ]
 
-    def _by_eliminator(self, v: int, threshold: Rank) -> list[tuple[Rank, EdgeKey]]:
-        """Sorted (eliminator rank, edge) for the edges at v whose eliminator
-        rank is >= threshold.
+    def _by_eliminator(
+        self,
+        v: int,
+        threshold: Rank,
+        label: Sequence[object] | None = None,
+        want: object = None,
+    ) -> list[tuple[Rank, EdgeKey]]:
+        """Sorted (eliminator rank, edge) for the edges vx at v whose
+        eliminator rank is >= threshold and, when `label` is given, whose
+        neighbor has `label[x] is want`.
 
         The order is part of the contract: the pipeline replays level-graph
         deletes and inserts in it, and the union answer depends on that order.
+        Filtering before the sort keeps the order of the edges kept.
         """
         idx = self.index.get(v)
         if not idx:
@@ -123,6 +140,8 @@ class MatchingState:
         self.counters["scans"] += len(idx)
         out = []
         for key, x in idx.items():
+            if label is not None and label[x] is not want:
+                continue
             kx = k.get(x, UNMATCHED_RANK)
             if kx >= threshold:
                 out.append((kx if kx < kv else kv, key))

@@ -8,6 +8,7 @@ deletes of absent edges, no degree-cap violations).
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import dataclass, field
@@ -225,14 +226,22 @@ def write_stream(events: Iterable[UpdateEvent], path: str | Path) -> None:
 
 
 def read_stream(path: str | Path) -> list[UpdateEvent]:
-    """Parse a JSONL stream file; a malformed line raises `ReplayError`
-    naming its line number."""
+    """Parse a JSONL stream file; a malformed line, or bytes that are not
+    UTF-8, raise `ReplayError` naming the line number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count line breaks as the line iteration below does.
+        prefix = io.StringIO(data[: exc.start].decode("utf-8"), newline=None)
+        seq = prefix.read().count("\n")
+        raise ReplayError(seq, f"line {seq + 1}: not UTF-8 ({exc.reason})") from None
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for seq, line in enumerate(fh):
-            line = line.strip()
-            if line:
-                events.append(_parse_event(line, seq))
+    for seq, line in enumerate(io.StringIO(text, newline=None)):
+        line = line.strip()
+        if line:
+            events.append(_parse_event(line, seq))
     return events
 
 

@@ -13,8 +13,8 @@ from dynmatch.errors import (
     UnknownOpError,
 )
 from dynmatch.exact import max_matching_exact
-from dynmatch.pipeline import Pipeline, Role
-from dynmatch.reference import static_reference
+from dynmatch.pipeline import _PARTNER, Pipeline, Role
+from dynmatch.reference import _ADMITTED, static_reference
 from dynmatch.streams import StreamSpec, generate_stream
 from dynmatch.suites import run_equivalence_stream
 
@@ -195,13 +195,29 @@ class TestRoles:
                 assert pipe.role[i][v] is want
 
     def test_role_determinism_against_recompute(self):
-        inst, pipe = fresh(n=16, delta=8, levels=3, seed=3)
-        events = generate_stream(StreamSpec("erdos-churn", 16, 8, 120, 9))
+        # after every update: the maintained match levels, every role and the
+        # O(1) membership level agree with full recomputes
+        n, levels = 60, 4
+        inst, pipe = fresh(n=n, delta=12, levels=levels, seed=3, sample_p=0.12)
+        events = generate_stream(StreamSpec("erdos-churn", n, 12, 600, 9))
+        v_roles = admitted = 0
         for ev in events:
             pipe.handle_update(ev.op, ev.u, ev.v)
-        for i in range(1, 4):
-            for v in range(16):
-                assert pipe.role[i][v] is pipe._role_for(v, i, pipe._match_level(v))
+            for v in range(n):
+                assert pipe.match_level[v] == pipe._match_level(v)
+                for i in range(1, levels + 1):
+                    want = pipe._role_for(v, i, pipe._match_level(v))
+                    assert pipe.role[i][v] is want
+                    v_roles += want in (Role.V_A, Role.V_B)
+            for key in inst.records:
+                admitting = [
+                    i for i in range(1, levels + 1)
+                    if (pipe.role[i][key[0]], pipe.role[i][key[1]]) in _ADMITTED
+                ]
+                assert len(admitting) <= 1
+                admitted += len(admitting)
+                assert pipe._membership_level(key) == (admitting[0] if admitting else None)
+        assert v_roles > 0 and admitted > 0
 
 
 class TestRebuild:
@@ -212,19 +228,27 @@ class TestRebuild:
         assert probes == 0 and deltas == []
 
     def test_candidate_scan_covers_level_edges(self):
-        # every maintained level edge at v must be visible to the range scan
-        # with the alpha of any level at least as deep
-        inst, pipe = fresh(n=24, delta=12, levels=3, seed=21)
+        # after every update, every maintained level edge at v must be visible
+        # to the role-filtered range scan with the alpha of any level at
+        # least as deep
+        inst, pipe = fresh(n=24, delta=12, levels=3, seed=21, sample_p=0.12)
         events = generate_stream(StreamSpec("erdos-churn", 24, 12, 250, 22))
+        checked = 0
         for ev in events:
             pipe.handle_update(ev.op, ev.u, ev.v)
-        for j in range(1, 4):
-            alpha = inst.alpha_for_level(j)
-            for i in range(1, j + 1):
-                for key in pipe.levels[i].state.rank_of:
-                    for v in key:
-                        got = {k for k, _ in pipe.base.neighbors_above(v, alpha)}
-                        assert key in got
+            for j in range(1, 4):
+                alpha = inst.alpha_for_level(j)
+                for i in range(1, j + 1):
+                    role = pipe.role[i]
+                    for key in pipe.levels[i].state.rank_of:
+                        for v in key:
+                            got = {
+                                k for k, _ in
+                                pipe.base.neighbors_above(v, alpha, role, _PARTNER[role[v]])
+                            }
+                            assert key in got
+                            checked += 1
+        assert checked > 0
 
 
 class TestStreamEquivalence:

@@ -142,6 +142,58 @@ class TestCli:
         assert len(lines) == 1
         assert "oracle_every must be >= 0" in lines[0] and "-3" in lines[0]
 
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        return lines[0]
+
+    def _run(self, stream, *extra):
+        return main([
+            "run", "--stream", str(stream), "--levels", "2", "--delta", "8", *extra,
+        ])
+
+    def test_run_missing_stream_file(self, tmp_path, capsys):
+        assert self._run(tmp_path / "missing.jsonl") == 2
+        line = self._one_error_line(capsys)
+        assert "No such file" in line and "missing.jsonl" in line
+
+    def test_run_stream_that_is_not_utf8_names_the_line(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_bytes(
+            b'{"op": "ins", "u": 0, "v": 1}\n\n{"op": "ins", "u": 1, "v": \xff}\n'
+        )
+        assert self._run(stream) == 2
+        assert "line 3: not UTF-8" in self._one_error_line(capsys)
+
+    def test_gen_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "s.jsonl"
+        rc = main([
+            "gen", "--generator", "erdos-churn", "--n", "16", "--delta", "8",
+            "--len", "40", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "No such file" in self._one_error_line(capsys)
+
+    def test_run_out_in_missing_directory(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
+        metrics = tmp_path / "nonexistent" / "m.jsonl"
+        assert self._run(stream, "--out", str(metrics)) == 2
+        assert "No such file" in self._one_error_line(capsys)
+
+    def test_run_summary_in_missing_directory_fails_before_replay(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
+        metrics = tmp_path / "m.jsonl"
+        summary = tmp_path / "nonexistent" / "summary.json"
+        rc = self._run(stream, "--out", str(metrics), "--summary", str(summary))
+        assert rc == 2
+        assert "No such file" in self._one_error_line(capsys)
+        assert not metrics.exists()
+
     def test_gen_run_validate(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
         rc = main([
