@@ -275,7 +275,7 @@ class Pipeline:
                 for key, _ in candidates:
                     if key not in ls.state.rank_of:
                         rec = self.inst.records[key]
-                        d = ls.state.apply_insert(key, rec.ranks[i])
+                        d = ls.state.apply_insert(rec.key, rec.ranks[i])
                         self._log_level_delta(level_deltas, i, d)
         return probes
 

@@ -110,6 +110,12 @@ def replay(
         "final_m0": last["m0"],
         "final_answer": last["answer"],
         "final_mu": last_mu,
+        # What each level adds on top of M_0, read once after the last event.
+        "final_levels": {
+            str(i): {"g_edges": len(ls.state.rank_of), "m_i": len(ls.state.matching)}
+            for i, ls in pipe.levels.items()
+        },
+        "final_union_edges": len(pipe.union.mult),
         "mean_ns": sum(times) / len(times) if times else 0.0,
         "p50_ns": _percentile(sorted_times, 0.50),
         "p99_ns": _percentile(sorted_times, 0.99),

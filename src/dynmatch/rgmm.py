@@ -10,8 +10,11 @@ Every edge has an *eliminator* (the lowest-rank matched edge touching it;
 itself if matched).  Since a matching has at most one edge per vertex, the
 eliminator rank of edge uv is simply min(k(u), k(v)) where k(.) is the
 matched rank (sentinel 1 when free), so it is derived from k on demand and
-never stored.  The per-vertex adjacency index is unordered: a candidate scan
-at v costs O(deg(v)) plus sorting what it keeps, with an O(1) early exit
+never stored.  The per-vertex adjacency index is unordered and maps each
+neighbor to the rank of the shared edge, so a candidate scan at v reads
+ranks and neighbors straight from the index: it hashes only integer vertex
+ids, never an edge tuple, and builds an edge key only for what it returns.
+A scan costs O(deg(v)) plus sorting what it keeps, with an O(1) early exit
 when k(v) is below the threshold.  A scan can also filter on a per-vertex
 label of the far endpoint before the sort, so it sorts only what its caller
 keeps.  An index kept sorted by eliminator rank would make that scan
@@ -66,11 +69,12 @@ class MatchingState:
         through `matched_rank`, which returns the sentinel for free vertices).
     matching : the set of matched edges.
     elim : edge -> eliminator rank, computed from k on every read.
-    index : vertex -> unordered dict mapping incident edge -> neighbor.  A
-        candidate scan at v (`neighbors_above`, `incident`) filters it in
-        O(deg(v)), by eliminator rank and optionally by a label of the
-        neighbor, and sorts what it keeps, or returns in O(1) when k(v) is
-        below the threshold.
+    index : vertex -> unordered dict mapping each neighbor x to the rank of
+        edge vx (the same int object `rank_of` holds).  Scans read ranks from
+        it without hashing an edge tuple.  A candidate scan at v
+        (`neighbors_above`, `incident`) filters it in O(deg(v)), by
+        eliminator rank and optionally by a label of the neighbor, and sorts
+        what it keeps, or returns in O(1) when k(v) is below the threshold.
 
     Single-writer; `apply_insert` / `apply_delete` restore all invariants
     before returning.
@@ -81,7 +85,7 @@ class MatchingState:
         self.matched: dict[int, EdgeKey] = {}
         self.k: dict[int, Rank] = {}
         self.matching: set[EdgeKey] = set()
-        self.index: dict[int, dict[EdgeKey, int]] = {}
+        self.index: dict[int, dict[int, Rank]] = {}
         self.counters = {"pops": 0, "scans": 0}
 
     # -- queries ---------------------------------------------------------
@@ -139,12 +143,12 @@ class MatchingState:
             return []  # every eliminator at v is <= k(v)
         self.counters["scans"] += len(idx)
         out = []
-        for key, x in idx.items():
+        for x in idx:
             if label is not None and label[x] is not want:
                 continue
             kx = k.get(x, UNMATCHED_RANK)
             if kx >= threshold:
-                out.append((kx if kx < kv else kv, key))
+                out.append((kx if kx < kv else kv, (v, x) if v < x else (x, v)))
         out.sort()
         return out
 
@@ -179,7 +183,7 @@ class MatchingState:
             raise DuplicateEdgeError(f"edge {key} already present")
         u, v = key
         self.rank_of[key] = rank
-        self._index_add(key)
+        self._index_add(key, rank)
         delta = DeltaList()
         if self.matched_rank(u) > rank and self.matched_rank(v) > rank:
             seeds = []
@@ -222,15 +226,16 @@ class MatchingState:
         del self.k[u], self.k[v]
         self.matching.remove(key)
 
-    def _index_add(self, key: EdgeKey) -> None:
+    def _index_add(self, key: EdgeKey, rank: Rank) -> None:
         u, v = key
-        self.index.setdefault(u, {})[key] = v
-        self.index.setdefault(v, {})[key] = u
+        self.index.setdefault(u, {})[v] = rank
+        self.index.setdefault(v, {})[u] = rank
 
     def _index_remove(self, key: EdgeKey) -> None:
-        for w in key:
+        u, v = key
+        for w, x in ((u, v), (v, u)):
             adj = self.index[w]
-            del adj[key]
+            del adj[x]
             if not adj:
                 del self.index[w]
 
@@ -240,15 +245,18 @@ class MatchingState:
         idx = self.index.get(w)
         if not idx:
             return None
-        best: tuple[Rank, EdgeKey, int] | None = None
-        rank_of = self.rank_of
         k = self.k
         self.counters["scans"] += len(idx)
-        for key, x in idx.items():
-            r = rank_of[key]
-            if (best is None or r < best[0]) and k.get(x, UNMATCHED_RANK) > r:
-                best = (r, key, x)
-        return best
+        best_r = UNMATCHED_RANK
+        best_x = None
+        for x, r in idx.items():
+            if r < best_r and k.get(x, UNMATCHED_RANK) > r:
+                best_r = r
+                best_x = x
+        if best_x is None:
+            return None
+        # Ranks are unique, so the minimum rank alone names the edge.
+        return best_r, (w, best_x) if w < best_x else (best_x, w), best_x
 
     def _cascade(self, seeds: Iterable[int], delta: DeltaList) -> None:
         """Settle freed vertices in globally increasing candidate-rank order.
@@ -303,5 +311,5 @@ def build_static(edges: Iterable[tuple[EdgeKey, Rank]]) -> MatchingState:
         u, v = key
         if u not in matched and v not in matched:
             state._match(key, rank)
-        state._index_add(key)
+        state._index_add(key, rank)
     return state

@@ -92,8 +92,17 @@ class _Mirror:
         return self.present[rng.randrange(len(self.present))]
 
 
-def _erdos_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
+def _target_edges(spec: StreamSpec) -> int:
     target = spec.params.get("target_edges", 2 * spec.n)
+    if target < 0:
+        raise StreamSpecError(
+            f"{spec.generator} needs target_edges >= 0, got {target}"
+        )
+    return target
+
+
+def _erdos_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
+    target = _target_edges(spec)
     mirror = _Mirror(spec.n, spec.delta)
     for seq in range(spec.length):
         cur = len(mirror)
@@ -174,7 +183,7 @@ def _bipartite_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEve
     half = spec.n // 2
     if half < 1:
         raise StreamSpecError("bipartite-churn needs n >= 2")
-    target = spec.params.get("target_edges", 2 * spec.n)
+    target = _target_edges(spec)
     mirror = _Mirror(spec.n, spec.delta)
     for seq in range(spec.length):
         cur = len(mirror)

@@ -106,15 +106,14 @@ def c1_data():
             ):
                 mismatches += 1
                 continue
-            # index equality: every live edge indexed under both endpoints
-            # with the other endpoint as its neighbour, and exactly two index
-            # entries per edge overall
+            # index equality: every live edge indexed under both endpoints,
+            # keyed by the other endpoint and holding the edge's rank, and
+            # exactly two index entries per edge overall
             ok = sum(len(adj) for adj in state.index.values()) == 2 * len(elim)
             if ok:
-                for a, b in elim:
-                    if (
-                        state.index[a].get((a, b)) != b
-                        or state.index[b].get((a, b)) != a
+                for (a, b), rank in live_rank.items():
+                    if not (
+                        state.index[a].get(b) == state.index[b].get(a) == rank
                     ):
                         ok = False
                         break

@@ -251,6 +251,21 @@ class TestRebuild:
         assert checked > 0
 
 
+    def test_level_graphs_share_the_record_key(self):
+        # a live edge is keyed by one tuple object in every layer: the level
+        # graphs hold the record's key, not a key rebuilt by a scan
+        events = generate_stream(
+            StreamSpec("erdos-churn", 200, 16, 2000, 75, {"target_edges": 800})
+        )
+        inst, pipe = fresh(n=200, delta=16, levels=3, seed=76, sample_p=0.12)
+        for ev in events:
+            pipe.handle_update(ev.op, ev.u, ev.v)
+        level_keys = [k for ls in pipe.levels.values() for k in ls.state.rank_of]
+        assert level_keys
+        for key in level_keys:
+            assert key is inst.records[key].key
+
+
 class TestStreamEquivalence:
     def test_random_stream_matches_reference(self):
         res = run_equivalence_stream(

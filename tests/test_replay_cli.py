@@ -3,8 +3,9 @@ import json
 import pytest
 
 from dynmatch.cli import main
-from dynmatch.core import InstanceConfig
+from dynmatch.core import Instance, InstanceConfig
 from dynmatch.errors import OracleLimitError, ReplayError
+from dynmatch.pipeline import Pipeline
 from dynmatch.replay import replay
 from dynmatch.streams import StreamSpec, UpdateEvent, generate_stream
 
@@ -23,6 +24,24 @@ class TestReplay:
         assert summary["final_answer"] == 1
         assert summary["final_mu"] == 1
         assert summary["final_ratio"] == 1.0
+
+    def test_final_level_and_union_sizes(self):
+        events = generate_stream(
+            StreamSpec("erdos-churn", 200, 16, 600, 31, {"target_edges": 800})
+        )
+        config = InstanceConfig(200, 16, 3, sample_p=0.12, algo_seed=32)
+        summary = replay(events, config, oracle_every=0)
+        pipe = Pipeline(Instance(config))
+        for ev in events:
+            pipe.handle_update(ev.op, ev.u, ev.v)
+        assert summary["final_levels"] == {
+            str(i): {"g_edges": len(ls.state.rank_of), "m_i": len(ls.state.matching)}
+            for i, ls in pipe.levels.items()
+        }
+        assert summary["final_union_edges"] == len(pipe.union.edges())
+        # the levels hold edges, and the union holds M_0 plus what they add
+        assert sum(lv["m_i"] for lv in summary["final_levels"].values()) > 0
+        assert summary["final_union_edges"] >= summary["final_m0"]
 
     def test_rejects_invalid_stream(self):
         events = [UpdateEvent("del", 1, 2, 0)]
@@ -125,6 +144,19 @@ class TestCli:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert f"window >= 1, got {window}" in lines[0]
+
+    @pytest.mark.parametrize("generator", ["erdos-churn", "bipartite-churn"])
+    def test_gen_rejects_a_negative_target_edges(self, tmp_path, capsys, generator):
+        out = tmp_path / "s.jsonl"
+        rc = main([
+            "gen", "--generator", generator, "--n", "10", "--delta", "4",
+            "--len", "10", "--target-edges", "-3", "--out", str(out),
+        ])
+        assert rc == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert f"{generator} needs target_edges >= 0, got -3" in lines[0]
 
     def test_run_rejects_a_negative_oracle_every(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"

@@ -176,6 +176,36 @@ class TestNeighborsAbove:
         assert kept_some
 
 
+class TestBestCandidate:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scan_agrees_with_brute_force(self, seed):
+        # the greedy cascade's candidate at w is the minimum (rank, edge, x)
+        # over incident edges wx with k(x) > rank; on odd seeds every rank
+        # takes one of 3 values, so the rank's key tie-break decides
+        rng = random.Random(seed)
+        coarse = seed % 2 == 1
+        n = 9
+        st_ = MatchingState()
+        for op, key, rank in random_stream(rng, n, 120):
+            if op == "ins":
+                if coarse:
+                    rank = make_rank(rng.randrange(3), *key)
+                st_.apply_insert(key, rank)
+            else:
+                st_.apply_delete(key)
+            for w in range(n):
+                options = [
+                    (r, key_, key_[0] if key_[1] == w else key_[1])
+                    for key_, r in st_.rank_of.items()
+                    if w in key_
+                ]
+                expect = min(
+                    (o for o in options if st_.matched_rank(o[2]) > o[0]),
+                    default=None,
+                )
+                assert st_._best_candidate(w) == expect
+
+
 class TestOracleEquivalence:
     def test_eight_vertices_fifty_steps(self):
         rng = random.Random(5)
@@ -321,14 +351,13 @@ class TestInvariants:
                 assert st_.matched_rank(v) == UNMATCHED_RANK
 
     def test_index_mirrors_eliminators(self):
-        # every live edge is indexed under both endpoints with the other
-        # endpoint as its neighbour, and nothing else is indexed; the
-        # eliminators it serves are min(k(u), k(v)) recomputed from k
+        # every live edge is indexed under both endpoints, keyed by the other
+        # endpoint and holding the edge's rank, and nothing else is indexed;
+        # the eliminators it serves are min(k(u), k(v)) recomputed from k
         st_, _ = self._churn(6)
         assert sum(len(adj) for adj in st_.index.values()) == 2 * len(st_.rank_of)
-        for u, v in st_.rank_of:
-            assert st_.index[u][(u, v)] == v
-            assert st_.index[v][(u, v)] == u
+        for (u, v), rank in st_.rank_of.items():
+            assert st_.index[u][v] == st_.index[v][u] == rank
         assert st_.elim == {
             (u, v): min(st_.matched_rank(u), st_.matched_rank(v))
             for u, v in st_.rank_of
