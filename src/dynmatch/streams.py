@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import EdgeKey, edge_key
 from .errors import ReplayError, StreamSpecError
@@ -88,6 +88,20 @@ class _Mirror:
             return key
         return None
 
+    def sample_absent_across(self, rng: random.Random) -> EdgeKey | None:
+        """Like `sample_absent`, but only between the lower and upper half."""
+        half = self.n // 2
+        for _ in range(64):
+            u = rng.randrange(half)
+            v = half + rng.randrange(self.n - half)
+            key = (u, v)
+            if key in self.slot:
+                continue
+            if self.deg[u] >= self.delta or self.deg[v] >= self.delta:
+                continue
+            return key
+        return None
+
     def sample_present(self, rng: random.Random) -> EdgeKey:
         return self.present[rng.randrange(len(self.present))]
 
@@ -101,7 +115,13 @@ def _target_edges(spec: StreamSpec) -> int:
     return target
 
 
-def _erdos_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
+def _churn(
+    spec: StreamSpec,
+    rng: random.Random,
+    sample_absent: Callable[[_Mirror, random.Random], EdgeKey | None],
+) -> Iterator[UpdateEvent]:
+    """Inserts drawn by `sample_absent` and uniform deletes, biased so the
+    edge count drifts toward `target_edges`."""
     target = _target_edges(spec)
     mirror = _Mirror(spec.n, spec.delta)
     for seq in range(spec.length):
@@ -109,7 +129,7 @@ def _erdos_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
         bias = 0.5 + 0.45 * (target - cur) / max(target, 1)
         key = None
         if cur == 0 or rng.random() < min(0.95, max(0.05, bias)):
-            key = mirror.sample_absent(rng)
+            key = sample_absent(mirror, rng)
         if key is not None:
             mirror.add(key)
             yield UpdateEvent("ins", key[0], key[1], seq)
@@ -117,6 +137,10 @@ def _erdos_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
             key = mirror.sample_present(rng)
             mirror.remove(key)
             yield UpdateEvent("del", key[0], key[1], seq)
+
+
+def _erdos_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
+    return _churn(spec, rng, _Mirror.sample_absent)
 
 
 def _sliding_window(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
@@ -180,34 +204,7 @@ def _clique_pm(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
 
 
 def _bipartite_churn(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
-    half = spec.n // 2
-    if half < 1:
-        raise StreamSpecError("bipartite-churn needs n >= 2")
-    target = _target_edges(spec)
-    mirror = _Mirror(spec.n, spec.delta)
-    for seq in range(spec.length):
-        cur = len(mirror)
-        bias = 0.5 + 0.45 * (target - cur) / max(target, 1)
-        key = None
-        if cur == 0 or rng.random() < min(0.95, max(0.05, bias)):
-            for _ in range(64):
-                u = rng.randrange(half)
-                v = half + rng.randrange(spec.n - half)
-                cand = edge_key(u, v)
-                if (
-                    cand not in mirror
-                    and mirror.deg[u] < spec.delta
-                    and mirror.deg[v] < spec.delta
-                ):
-                    key = cand
-                    break
-        if key is not None:
-            mirror.add(key)
-            yield UpdateEvent("ins", key[0], key[1], seq)
-        else:
-            key = mirror.sample_present(rng)
-            mirror.remove(key)
-            yield UpdateEvent("del", key[0], key[1], seq)
+    return _churn(spec, rng, _Mirror.sample_absent_across)
 
 
 _DISPATCH = {

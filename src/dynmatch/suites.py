@@ -1,7 +1,17 @@
-"""Named validation suites behind the CLI and the acceptance tests.
+"""Named validation suites behind `dynmatch validate` and the acceptance tests.
 
 Each suite returns a report dict with a boolean "passed"; the CLI maps that
-to the exit status.
+to the exit status.  Each check is defined here once, and the acceptance
+criteria in tests/test_acceptance.py call it:
+
+- `sparsification`, `sampling-lemma` and `partition-augmentation` at their
+  defaults are criteria 05, 07 and 08, draw for draw.
+- `run_equivalence_stream`, behind `equivalence`, `level-stability` and
+  `final-approx`, also feeds criteria 02, 03, 04 (the pipeline half) and 11,
+  at n=64 over L in {2, 3} with their own seeds.
+- `pivot-level` checks the inequalities of criterion 09 on its own draws.
+
+Criteria 01, 04's n=500 half, 06 and 10 have no suite.
 """
 
 from __future__ import annotations
@@ -73,29 +83,38 @@ def run_equivalence_stream(
     stream_seed: int,
     algo_seed: int,
     *,
-    target_edges: int | None = None,
     check_stability: bool = False,
     check_final: bool = False,
 ) -> dict:
-    """Replay one random stream, comparing the pipeline against the static
-    reference after every update.  Optionally also checks level stability
-    (graphs above the trigger level stay bitwise identical) and the final
-    matcher contract (no short augmenting path; k/(k+1) of the union's mu)."""
-    params = {}
-    if target_edges is not None:
-        params["target_edges"] = target_edges
+    """Replay one erdos-churn stream, comparing the pipeline against the
+    static reference after every update.
+
+    `check_stability` also checks that the level graphs above the trigger
+    level keep their edges and matchings.  `check_final` also checks the
+    final matcher contract (no augmenting path of length <= 2k-1 in the
+    union; |answer| >= k/(k+1) mu(union)) and the bounds beneath it: M_0 is
+    maximal, |M_0| >= mu/2 and |answer| >= |M_0|.  Each check reports its
+    own violation count.
+    """
     events = generate_stream(
-        StreamSpec("erdos-churn", n, delta, updates, stream_seed, params)
+        StreamSpec("erdos-churn", n, delta, updates, stream_seed, {})
     )
     config = InstanceConfig(n, delta, levels, algo_seed=algo_seed)
     inst = Instance(config)
     pipe = Pipeline(inst)
     k = config.answer_depth()
-    mismatches = 0
-    stability_violations = 0
-    final_violations = 0
-    answer_below_m0 = 0
-    checked = 0
+    counts = dict.fromkeys(
+        (
+            "mismatches",
+            "stability_violations",
+            "maximality_violations",
+            "half_mu_violations",
+            "answer_below_m0",
+            "short_path_violations",
+            "union_ratio_violations",
+        ),
+        0,
+    )
     for ev in events:
         before = None
         if check_stability:
@@ -104,35 +123,32 @@ def run_equivalence_stream(
                 for i, ls in pipe.levels.items()
             }
         report = pipe.handle_update(ev.op, ev.u, ev.v)
-        checked += 1
-        snap = pipe.snapshot()
         ref = static_reference(inst.records.values(), inst.tapes, config)
-        if snap != ref:
-            mismatches += 1
+        if pipe.snapshot() != ref:
+            counts["mismatches"] += 1
         if check_stability and report.trigger_level is not None:
             for i in range(report.trigger_level + 1, levels + 1):
-                after = (dict(pipe.levels[i].state.rank_of), set(pipe.levels[i].state.matching))
-                if before[i] != after:
-                    stability_violations += 1
+                state = pipe.levels[i].state
+                if before[i] != (dict(state.rank_of), set(state.matching)):
+                    counts["stability_violations"] += 1
         if check_final:
+            m0 = len(pipe.base.matching)
+            answer = pipe.union.size()
             union_edges = pipe.union.edges()
             mu_union = max_matching_exact(n, union_edges).size
-            answer = pipe.union.size()
-            if answer * (k + 1) < mu_union * k:
-                final_violations += 1
+            if not pipe.base.is_maximal():
+                counts["maximality_violations"] += 1
+            if 2 * m0 < max_matching_exact(n, inst.records.keys()).size:
+                counts["half_mu_violations"] += 1
+            if answer < m0:
+                counts["answer_below_m0"] += 1
             if has_short_augmenting_path(
                 union_edges, pipe.current_answer(), 2 * k - 1
             ):
-                final_violations += 1
-            if answer < len(pipe.base.matching):
-                answer_below_m0 += 1
-    return {
-        "events": checked,
-        "mismatches": mismatches,
-        "stability_violations": stability_violations,
-        "final_violations": final_violations,
-        "answer_below_m0": answer_below_m0,
-    }
+                counts["short_path_violations"] += 1
+            if answer * (k + 1) < mu_union * k:
+                counts["union_ratio_violations"] += 1
+    return {"events": len(events), **counts}
 
 
 def suite_equivalence(
@@ -294,7 +310,7 @@ def suite_final_approx(
             stream_seed=5000 + s, algo_seed=6000 + s,
             check_final=True,
         )
-        violations += res["final_violations"]
+        violations += res["short_path_violations"] + res["union_ratio_violations"]
     return {
         "suite": "final-approx",
         "seeds": seeds,

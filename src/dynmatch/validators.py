@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RANK_SCALE, EdgeKey
+from .core import RANK_SCALE, EdgeKey, level_of_rank, thresholds_for
 from .errors import ConfigError, ConsistencyError
 from .exact import max_matching_exact
 
@@ -132,6 +132,14 @@ class SamplingStats:
         return self.mean >= self.bound - 3 * self.std_error
 
 
+def _sampling_stats(samples: list[int], bound: float) -> SamplingStats:
+    """Mean and standard error of the mean of integer per-trial counts."""
+    trials = len(samples)
+    mean = sum(samples) / trials
+    var = max(sum(x * x for x in samples) / trials - mean * mean, 0.0)
+    return SamplingStats(trials, mean, math.sqrt(var / trials), bound)
+
+
 def validate_vertex_sampling(
     v_count: int,
     u_count: int,
@@ -140,7 +148,6 @@ def validate_vertex_sampling(
     p: float,
     trials: int,
     seed: int = 0,
-    perm_seed: int | None = None,
 ) -> SamplingStats:
     """Monte Carlo check that E[X] >= p * (|M| - 2p|V|).
 
@@ -149,13 +156,11 @@ def validate_vertex_sampling(
     subgraph is built under one fixed edge permutation, and X counts edges of
     `matching` whose v endpoint got matched.
     """
-    perm_rng = np.random.default_rng(seed if perm_seed is None else perm_seed)
-    order = perm_rng.permutation(len(edges))
+    order = np.random.default_rng(seed).permutation(len(edges))
     ordered = [edges[i] for i in order]
     m_vs = [v for v, _ in matching]
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
+    samples: list[int] = []
     for _ in range(trials):
         keep = (rng.random(v_count) < p).tolist()
         v_taken = [False] * v_count
@@ -164,14 +169,8 @@ def validate_vertex_sampling(
             if keep[v] and not v_taken[v] and not u_taken[u]:
                 v_taken[v] = True
                 u_taken[u] = True
-        x = sum(1 for v in m_vs if v_taken[v])
-        total += x
-        total_sq += x * x
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    se = math.sqrt(var / trials)
-    bound = p * (len(matching) - 2 * p * v_count)
-    return SamplingStats(trials, mean, se, bound)
+        samples.append(sum(1 for v in m_vs if v_taken[v]))
+    return _sampling_stats(samples, p * (len(matching) - 2 * p * v_count))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +193,6 @@ class AugmentationGadget:
     # candidate second-stage edges: (u_vertex, v_vertex, gadget, side)
     # side 0 means the matched endpoint is a 'b' (A side), 1 a 'c' (B side).
     candidates: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-    def vertex(self, gadget: int, which: str) -> int:
-        return 4 * gadget + "abcd".index(which)
 
 
 def augmentation_bound(p: float, delta: float) -> float:
@@ -234,42 +230,29 @@ def validate_partition_augmentation(
 
     Per trial: fresh sampling coins for the middle edges, fresh A/B coins for
     the unmatched side, a fresh ranking of the candidate edges, then the
-    greedy matching of the induced level graph.  The reported bound is the
-    published coefficient 0.003825 (p = 0.03, delta = 0.01) times |S_i|.
+    greedy matching of the induced level graph.  The reported bound is
+    `augmentation_bound(p, 0.01) * |S_i|`, with the published delta = 0.01.
     """
     rng = np.random.default_rng(seed)
     count = gadget.count
     cands = gadget.candidates
-    total = 0.0
-    total_sq = 0.0
+    samples: list[int] = []
     for _ in range(trials):
         sampled = (rng.random(count) < p).tolist()
         coin = rng.integers(0, 2, size=4 * count).tolist()  # U-side partition coins
         present = [
-            (u, v, j)
-            for (u, v, j, side) in cands
-            if sampled[j] and coin[u] == side
+            (u, v) for (u, v, j, side) in cands if sampled[j] and coin[u] == side
         ]
-        ranks = rng.random(len(present))
-        order = np.argsort(ranks).tolist()
-        u_taken: set[int] = set()
-        v_taken: set[int] = set()
-        for idx in order:
-            u, v, _ = present[idx]
-            if u not in u_taken and v not in v_taken:
-                u_taken.add(u)
-                v_taken.add(v)
-        hits = 0
-        for j in range(count):
-            if sampled[j] and (4 * j + 1) in v_taken and (4 * j + 2) in v_taken:
-                hits += 1
-        total += hits
-        total_sq += hits * hits
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    se = math.sqrt(var / trials)
-    bound = 0.003825 * count
-    return SamplingStats(trials, mean, se, bound)
+        order = np.argsort(rng.random(len(present))).tolist()
+        kpos, _ = _bulk_greedy(
+            [present[i][0] for i in order], [present[i][1] for i in order], 4 * count
+        )
+        m = len(present)  # kpos value of an unmatched vertex
+        samples.append(sum(
+            1 for j in range(count)
+            if sampled[j] and kpos[4 * j + 1] < m and kpos[4 * j + 2] < m
+        ))
+    return _sampling_stats(samples, augmentation_bound(p, 0.01) * count)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +320,96 @@ def count_3_augmentable(m0: set[EdgeKey], opt: set[EdgeKey]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class LayeredBuild:
+    """One seed of the static layered construction over a fixed edge list.
+
+    Edges are named by their index into the edge arrays.  The draws are
+    `rank0` (each edge's base rank value), `sampled` (each M_0 edge's
+    sampling bit at its own level), `coins` (coins[i][v] is vertex v's
+    level-i partition coin; row 0 is unused) and `pi[i]` (the level-i rank
+    values of the edges in `g[i]`, index for index).  The rest is built
+    from them.
+    """
+
+    rank0: np.ndarray
+    m0: np.ndarray  # M_0's edges in base rank order
+    m0_level: list[int]  # level of each M_0 edge
+    sampled: np.ndarray
+    coins: np.ndarray
+    # per level i: vertex codes (0 absent, 1 U_A, 2 U_B, 3 V_A, 4 V_B),
+    # G_i's edges in index order with their rank values, and M_i's edges
+    codes: dict[int, np.ndarray] = field(default_factory=dict)
+    g: dict[int, np.ndarray] = field(default_factory=dict)
+    pi: dict[int, np.ndarray] = field(default_factory=dict)
+    m: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+def clique_pm_edges(n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (lo, hi) of a clique on the first half of the vertices plus a
+    pendant perfect matching."""
+    if n_total % 2:
+        raise ValueError("n_total must be even")
+    half = n_total // 2
+    cu, cv = np.triu_indices(half, 1)
+    us = np.concatenate([cu, np.arange(half)]).astype(np.int64)
+    vs = np.concatenate([cv, np.arange(half) + half]).astype(np.int64)
+    return us, vs
+
+
+def clique_pm_layers(
+    n_total: int,
+    us: np.ndarray,
+    vs: np.ndarray,
+    levels: int,
+    sample_p: float,
+    rng: np.random.Generator,
+) -> LayeredBuild:
+    """Draw fresh rankings and coins and run the layered construction on the
+    clique-plus-pendants edges (`clique_pm_edges(n_total)`)."""
+    # delta = n/2: the clique degree plus the pendant edge
+    thresholds = thresholds_for(n_total // 2, levels)
+    rank0 = rng.integers(0, RANK_SCALE, size=len(us), dtype=np.uint64)
+    order = np.argsort(rank0, kind="stable")
+    _, matched_pos = _bulk_greedy(us[order].tolist(), vs[order].tolist(), n_total)
+    m0 = order[matched_pos]
+    m0_level = [level_of_rank(r << 64, thresholds) for r in rank0[m0].tolist()]
+    sampled = rng.random(len(m0)) < sample_p
+    coins = rng.integers(0, 2, size=(levels + 1, n_total), dtype=np.int8)
+    build = LayeredBuild(rank0, m0, m0_level, sampled, coins)
+
+    lv = np.array(m0_level, dtype=np.int8)
+    a, b = us[m0], vs[m0]
+    match_level = np.zeros(n_total, dtype=np.int8)
+    match_level[a] = lv
+    match_level[b] = lv
+    # V-side codes of the sampled M_0 edges at their own level: lo is V_A
+    v_role = np.zeros((levels + 1, n_total), dtype=np.int8)
+    v_role[lv[sampled], a[sampled]] = 3
+    v_role[lv[sampled], b[sampled]] = 4
+    for i in range(1, levels + 1):
+        code = np.where(match_level < i, 1 + coins[i], 0).astype(np.int8)
+        at_level = v_role[i] != 0
+        code[at_level] = v_role[i][at_level]
+        cu = code[us]
+        cv = code[vs]
+        mask = (
+            ((cu == 3) & (cv == 1))
+            | ((cu == 1) & (cv == 3))
+            | ((cu == 4) & (cv == 2))
+            | ((cu == 2) & (cv == 4))
+        )
+        cand = np.nonzero(mask)[0]
+        pi = rng.integers(0, RANK_SCALE, size=len(cand), dtype=np.uint64)
+        sub = cand[np.argsort(pi, kind="stable")]
+        _, taken = _bulk_greedy(us[sub].tolist(), vs[sub].tolist(), n_total)
+        build.codes[i] = code
+        build.g[i] = cand
+        build.pi[i] = pi
+        build.m[i] = sub[taken]
+    return build
+
+
 def clique_pm_static_experiment(
     n_total: int,
     levels: int,
@@ -352,84 +425,21 @@ def clique_pm_static_experiment(
     layered construction, and take the exact maximum matching of the union of
     all produced matchings as the answer.  Reports paired ratio statistics.
     """
-    if n_total % 2:
-        raise ValueError("n_total must be even")
-    half = n_total // 2
-    cu, cv = np.triu_indices(half, 1)
-    us = np.concatenate([cu, np.arange(half)]).astype(np.int64)
-    vs = np.concatenate([cv, np.arange(half) + half]).astype(np.int64)
-    m = len(us)
-    mu = half
-    delta_cap = half  # clique degree plus the pendant edge
-    t_vals = [int(delta_cap ** (-i / levels) * RANK_SCALE) for i in range(levels + 1)]
-
-    def level_of_value(value: int) -> int:
-        for i in range(1, levels):
-            if value > t_vals[i]:
-                return i
-        return levels
-
+    us, vs = clique_pm_edges(n_total)
+    mu = n_total // 2
     r0_list: list[float] = []
     ra_list: list[float] = []
     pivot_sizes: list[dict[int, int]] = []
     for s in range(seeds):
         rng = np.random.default_rng(base_seed + s)
-        rank0 = rng.integers(0, RANK_SCALE, size=m, dtype=np.uint64)
-        order = np.argsort(rank0, kind="stable")
-        su = us[order]
-        sv = vs[order]
-        kpos, matched_pos = _bulk_greedy(su.tolist(), sv.tolist(), n_total)
-        rank_by_pos = rank0[order]
-
-        match_level = np.zeros(n_total, dtype=np.int8)
-        sampled_bit = rng.random(len(matched_pos)) < sample_p
-        coins = rng.integers(0, 2, size=(levels + 1, n_total), dtype=np.int8)
-        m0_edges: list[EdgeKey] = []
-        sizes = {i: 0 for i in range(1, levels + 1)}
-        # per matched edge: its level and, if sampled, its V-side roles
-        v_role = np.zeros((levels + 1, n_total), dtype=np.int8)  # 0 none, 3 VA, 4 VB
-        for pos_idx, pos in enumerate(matched_pos):
-            a = int(su[pos])
-            b = int(sv[pos])
-            lvl = level_of_value(int(rank_by_pos[pos]))
-            match_level[a] = lvl
-            match_level[b] = lvl
-            sizes[lvl] += 1
-            m0_edges.append((a, b) if a < b else (b, a))
-            if sampled_bit[pos_idx]:
-                lo, hi = (a, b) if a < b else (b, a)
-                v_role[lvl][lo] = 3
-                v_role[lvl][hi] = 4
-        pivot_sizes.append(sizes)
-
-        union: set[EdgeKey] = set(m0_edges)
-        for i in range(1, levels + 1):
-            code = np.where(match_level < i, 1 + coins[i], 0).astype(np.int8)
-            at_level = v_role[i] != 0
-            code[at_level] = v_role[i][at_level]
-            cu_ = code[us]
-            cv_ = code[vs]
-            mask = (
-                ((cu_ == 3) & (cv_ == 1))
-                | ((cu_ == 1) & (cv_ == 3))
-                | ((cu_ == 4) & (cv_ == 2))
-                | ((cu_ == 2) & (cv_ == 4))
-            )
-            cand = np.nonzero(mask)[0]
-            if len(cand) == 0:
-                continue
-            pi = rng.integers(0, RANK_SCALE, size=len(cand), dtype=np.uint64)
-            sub = cand[np.argsort(pi, kind="stable")]
-            taken: set[int] = set()
-            for idx in sub.tolist():
-                a, b = int(us[idx]), int(vs[idx])
-                if a not in taken and b not in taken:
-                    taken.add(a)
-                    taken.add(b)
-                    union.add((a, b) if a < b else (b, a))
-
+        build = clique_pm_layers(n_total, us, vs, levels, sample_p, rng)
+        pivot_sizes.append(
+            {i: build.m0_level.count(i) for i in range(1, levels + 1)}
+        )
+        union_idx = np.concatenate([build.m0, *build.m.values()])
+        union = set(zip(us[union_idx].tolist(), vs[union_idx].tolist()))
         answer = max_matching_exact(n_total, union, limit=max(n_total, 2000))
-        r0_list.append(len(m0_edges) / mu)
+        r0_list.append(len(build.m0) / mu)
         ra_list.append(answer.size / mu)
 
     diffs = [ra - r0 for ra, r0 in zip(ra_list, r0_list)]

@@ -8,24 +8,21 @@ import bisect
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from dynmatch.core import Instance, InstanceConfig, UNMATCHED_RANK, edge_key
-from dynmatch.exact import IncrementalMatching, max_matching_exact
-from dynmatch.pipeline import Pipeline
-from dynmatch.reference import static_reference
+from dynmatch.exact import IncrementalMatching
 from dynmatch.rgmm import MatchingState, build_static
 from dynmatch.streams import StreamSpec, generate_stream
-from dynmatch.suites import has_short_augmenting_path
-from dynmatch.validators import (
-    audit_sparsification,
-    augmentation_gadget,
-    clique_pm_static_experiment,
-    find_pivot_level,
-    validate_partition_augmentation,
-    validate_vertex_sampling,
+from dynmatch.suites import (
+    run_equivalence_stream,
+    suite_partition_augmentation,
+    suite_sampling_lemma,
+    suite_sparsification,
 )
+from dynmatch.validators import clique_pm_static_experiment, find_pivot_level
 
 C1_SEEDS = 10
 C1_UPDATES = 2000
@@ -137,64 +134,15 @@ def c1_data():
 
 @pytest.fixture(scope="module")
 def c2_data():
-    stats = {
-        "mismatches": 0,
-        "stability_violations": 0,
-        "maximality_violations": 0,
-        "half_mu_violations": 0,
-        "answer_below_m0": 0,
-        "short_path_violations": 0,
-        "union_ratio_violations": 0,
-        "updates": 0,
-    }
+    totals: Counter = Counter()
     for levels in C2_LEVELS:
         for seed in range(C2_SEEDS):
-            events = generate_stream(
-                StreamSpec("erdos-churn", C2_N, C2_DELTA, C2_UPDATES,
-                           9000 + seed, {})
-            )
-            config = InstanceConfig(C2_N, C2_DELTA, levels,
-                                    algo_seed=9500 + 10 * levels + seed)
-            inst = Instance(config)
-            pipe = Pipeline(inst)
-            k = config.answer_depth()
-            for ev in events:
-                before = {
-                    i: (dict(ls.state.rank_of), set(ls.state.matching),
-                        dict(ls.state.elim))
-                    for i, ls in pipe.levels.items()
-                }
-                report = pipe.handle_update(ev.op, ev.u, ev.v)
-                stats["updates"] += 1
-                if pipe.snapshot() != static_reference(
-                    inst.records.values(), inst.tapes, config
-                ):
-                    stats["mismatches"] += 1
-                if report.trigger_level is not None:
-                    for i in range(report.trigger_level + 1, levels + 1):
-                        ls = pipe.levels[i]
-                        now = (dict(ls.state.rank_of), set(ls.state.matching),
-                               dict(ls.state.elim))
-                        if now != before[i]:
-                            stats["stability_violations"] += 1
-                if not pipe.base.is_maximal():
-                    stats["maximality_violations"] += 1
-                m0 = len(pipe.base.matching)
-                answer = len(pipe.current_answer())
-                mu = max_matching_exact(C2_N, inst.records.keys()).size
-                if 2 * m0 < mu:
-                    stats["half_mu_violations"] += 1
-                if answer < m0:
-                    stats["answer_below_m0"] += 1
-                union_edges = pipe.union.edges()
-                if has_short_augmenting_path(
-                    union_edges, pipe.current_answer(), 2 * k - 1
-                ):
-                    stats["short_path_violations"] += 1
-                mu_union = max_matching_exact(C2_N, union_edges).size
-                if answer * (k + 1) < mu_union * k:
-                    stats["union_ratio_violations"] += 1
-    return stats
+            totals.update(run_equivalence_stream(
+                C2_N, C2_DELTA, levels, C2_UPDATES,
+                stream_seed=9000 + seed, algo_seed=9500 + 10 * levels + seed,
+                check_stability=True, check_final=True,
+            ))
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +167,7 @@ def test_c02_pipeline_oracle_equivalence(c2_data):
         2, passed,
         f"{C2_SEEDS} seeds x {C2_UPDATES} updates, L in {C2_LEVELS} "
         f"(n={C2_N}, delta={C2_DELTA}): {c2_data['mismatches']} mismatches "
-        f"over {c2_data['updates']} checkpoints",
+        f"over {c2_data['events']} checkpoints",
     )
     assert passed
 
@@ -274,17 +222,15 @@ def test_c04_maximality_and_lower_bounds(c2_data):
 
 
 def test_c05_sparsification_audit():
-    report = audit_sparsification(
-        n=2000, m=20000, trials=30,
-        thresholds=tuple(2.0**-i for i in range(2, 9)), seed=7, gate=4.0,
-    )
+    report = suite_sparsification()
     _print(
-        5, report.passed,
+        5, report["passed"],
         f"eliminator-filtered max degree within 4/p ln n for all 30 trials; "
-        f"fitted c = {report.fitted_c:.2f}, "
-        f"worst degrees = { {f'2^-{i}': report.max_degree[2.0**-i] for i in range(2, 9)} }",
+        f"fitted c = {report['fitted_c']:.2f}, "
+        f"worst degrees = "
+        f"{ {f'2^-{i}': report['max_degree'][str(2.0**-i)] for i in range(2, 9)} }",
     )
-    assert report.passed
+    assert report["passed"]
 
 
 def test_c06_adjustment_complexity(c1_data):
@@ -301,51 +247,26 @@ def test_c06_adjustment_complexity(c1_data):
 
 
 def test_c07_vertex_sampling_lemma():
-    results = []
-    edges = [(v, u) for v in range(8) for u in range(8)]
-    matching = [(i, i) for i in range(8)]
-    stats = validate_vertex_sampling(8, 8, edges, matching, 0.25, 10000, seed=11)
-    results.append(("K88 p=0.25", stats))
-    rng = random.Random(23)
-    for idx in range(20):
-        vc = rng.randint(4, 32)
-        uc = rng.randint(4, 32)
-        density = rng.uniform(0.1, 0.5)
-        inst_edges = [
-            (v, u) for v in range(vc) for u in range(uc) if rng.random() < density
-        ]
-        if not inst_edges:
-            inst_edges = [(0, 0)]
-        combined = {(v, vc + u) for v, u in inst_edges}
-        witness = max_matching_exact(vc + uc, combined).witness
-        m = [(a, b - vc) if a < vc else (b, a - vc) for a, b in witness]
-        p = 0.1 if idx % 2 == 0 else 0.3
-        stats = validate_vertex_sampling(vc, uc, inst_edges, m, p, 10000, seed=100 + idx)
-        results.append((f"random-{idx} p={p}", stats))
-    bad = [(name, s) for name, s in results if not s.passed]
-    passed = not bad
-    worst_margin = min(
-        (s.mean - (s.bound - 3 * s.std_error)) for _, s in results
-    )
+    cases = suite_sampling_lemma()["cases"]
+    bad = [c for c in cases if not c["passed"]]
+    worst_margin = min(c["mean"] - (c["bound"] - 3 * c["se"]) for c in cases)
     _print(
-        7, passed,
-        f"{len(results)} instances x 10^4 trials, all means >= p(|M|-2p|V|) - 3se; "
+        7, not bad,
+        f"{len(cases)} instances x 10^4 trials, all means >= p(|M|-2p|V|) - 3se; "
         f"tightest margin {worst_margin:.3f}",
     )
-    assert passed, bad
+    assert not bad, bad
 
 
 def test_c08_partition_augmentation():
-    gadget = augmentation_gadget(5000, noise=2500, seed=5)
-    stats = validate_partition_augmentation(gadget, p=0.03, trials=200, seed=6)
-    passed = stats.passed
+    report = suite_partition_augmentation()
     _print(
-        8, passed,
-        f"mean doubly-matched count {stats.mean:.2f} >= "
-        f"0.003825*5000 - 3se = {stats.bound - 3 * stats.std_error:.2f} "
-        f"(se {stats.std_error:.2f}, 200 trials)",
+        8, report["passed"],
+        f"mean doubly-matched count {report['mean']:.2f} >= "
+        f"0.003825*5000 - 3se = {report['bound'] - 3 * report['se']:.2f} "
+        f"(se {report['se']:.2f}, 200 trials)",
     )
-    assert passed
+    assert report["passed"]
 
 
 def test_c09_pivot_level():
@@ -393,7 +314,7 @@ def test_c11_final_matcher_contract(c2_data):
     _print(
         11, passed,
         f"no augmenting path of length <= 2k-1 and |answer| >= k/(k+1) mu(union) "
-        f"at every of {c2_data['updates']} checkpoints: "
+        f"at every of {c2_data['events']} checkpoints: "
         f"{c2_data['short_path_violations']} path violations, "
         f"{c2_data['union_ratio_violations']} ratio violations",
     )

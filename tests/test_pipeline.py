@@ -274,7 +274,11 @@ class TestStreamEquivalence:
         )
         assert res["mismatches"] == 0
         assert res["stability_violations"] == 0
-        assert res["final_violations"] == 0
+        assert res["events"] == 200
+        assert res["short_path_violations"] == 0
+        assert res["union_ratio_violations"] == 0
+        assert res["maximality_violations"] == 0
+        assert res["half_mu_violations"] == 0
         assert res["answer_below_m0"] == 0
 
     @pytest.mark.parametrize(

@@ -1,17 +1,21 @@
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from dynmatch.cli import main
-from dynmatch.core import Instance, InstanceConfig
+from dynmatch.core import EdgeRecord, Instance, InstanceConfig, make_rank
 from dynmatch.errors import ConfigError
 from dynmatch.exact import max_matching_exact
+from dynmatch.pipeline import Role
 from dynmatch.reference import static_reference
 from dynmatch.validators import (
     audit_sparsification,
     augmentation_bound,
     augmentation_gadget,
+    clique_pm_edges,
+    clique_pm_layers,
     clique_pm_static_experiment,
     count_3_augmentable,
     find_pivot_level,
@@ -189,6 +193,11 @@ class TestPartitionAugmentation:
         assert stats.bound == pytest.approx(0.003825 * 500)
         assert stats.passed
 
+    def test_bound_follows_p(self):
+        g = augmentation_gadget(200, noise=100, seed=4)
+        stats = validate_partition_augmentation(g, p=0.05, trials=5, seed=1)
+        assert stats.bound == pytest.approx(augmentation_bound(0.05, 0.01) * 200)
+
 
 class TestCliquePmExperiment:
     def test_small_smoke(self):
@@ -200,3 +209,58 @@ class TestCliquePmExperiment:
             assert 0.4 <= r0 <= 0.7
             assert ra >= r0
             assert sum(sizes.values()) == round(r0 * 60)
+
+    @pytest.mark.parametrize(
+        "n_total,levels,sample_p",
+        [(12, 2, 0.12), (40, 3, 0.12), (60, 2, 0.03), (60, 3, 0.1)],
+    )
+    def test_layers_match_static_reference(self, n_total, levels, sample_p):
+        # the experiment's own draws, handed to the oracle as edge records
+        # and vertex tapes, must rebuild every layer the experiment built
+        role_of_code = (Role.ABSENT, Role.U_A, Role.U_B, Role.V_A, Role.V_B)
+        us, vs = clique_pm_edges(n_total)
+        keys = list(zip(us.tolist(), vs.tolist()))
+        config = InstanceConfig(n_total, n_total // 2, levels, sample_p=sample_p)
+        level_edges = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            build = clique_pm_layers(n_total, us, vs, levels, sample_p, rng)
+            m0 = build.m0.tolist()
+            values = [[r] + [0] * levels for r in build.rank0.tolist()]
+            g_ranks = {}
+            for i in range(1, levels + 1):
+                g_ranks[i] = {}
+                for j, r in zip(build.g[i].tolist(), build.pi[i].tolist()):
+                    values[j][i] = r
+                    g_ranks[i][keys[j]] = make_rank(r, *keys[j])
+            sampled = [[False] * levels for _ in keys]
+            for j, lvl, bit in zip(m0, build.m0_level, build.sampled.tolist()):
+                sampled[j][lvl - 1] = bit
+            records = [
+                EdgeRecord(
+                    key,
+                    tuple(make_rank(r, *key) for r in values[j]),
+                    tuple(sampled[j]),
+                )
+                for j, key in enumerate(keys)
+            ]
+            tapes = [
+                tuple(int(build.coins[i][v]) for i in range(1, levels + 1))
+                for v in range(n_total)
+            ]
+            ref = static_reference(records, tapes, config)
+
+            assert ref["m0"]["matching"] == {keys[j] for j in m0}
+            for i in range(1, levels + 1):
+                assert ref["members"][i] == {
+                    keys[j] for j, lvl in zip(m0, build.m0_level) if lvl == i
+                }
+                assert ref["roles"][i] == tuple(
+                    role_of_code[c] for c in build.codes[i].tolist()
+                )
+                assert ref["g_edges"][i] == g_ranks[i]
+                assert ref["m_i"][i]["matching"] == {
+                    keys[j] for j in build.m[i].tolist()
+                }
+                level_edges += len(g_ranks[i])
+        assert level_edges > 0
