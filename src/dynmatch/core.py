@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import (
     CapacityError,
@@ -34,6 +33,9 @@ RANK_SCALE = 2**64
 
 #: Largest vertex universe: a vertex id must fit one 32-bit tie-break field.
 MAX_VERTICES = 2**32 - 1
+
+#: Largest level count L (see `InstanceConfig`).
+MAX_LEVELS = 64
 
 EdgeKey = tuple[int, int]
 
@@ -110,7 +112,12 @@ class InstanceConfig:
     delta_cap is a declared capacity: insertions that would push a degree
     beyond it are rejected, and the level thresholds are computed once from
     it.  levels = L sets the granularity eps = 1/L and the final matcher's
-    augmenting-path depth L + 1.
+    augmenting-path depth k = L + 1.
+
+    L is capped at `MAX_LEVELS`.  The final matcher's search recurses about
+    k deep and its work grows exponentially in k, so a large L exhausts the
+    interpreter's stack or never finishes; the paper's L = 1/eps is a small
+    constant, and no setting it is meant for comes near the cap.
     """
 
     n: int
@@ -129,8 +136,10 @@ class InstanceConfig:
             )
         if self.delta_cap < 1:
             raise ConfigError("delta_cap must be at least 1")
-        if self.levels < 1:
-            raise ConfigError("levels must be at least 1")
+        if not 1 <= self.levels <= MAX_LEVELS:
+            raise ConfigError(
+                f"levels must lie in [1, {MAX_LEVELS}], got {self.levels}"
+            )
         if not 0.0 < self.sample_p < 0.125:
             raise ConfigError("sample_p must lie in (0, 1/8)")
 
@@ -175,15 +184,6 @@ class Instance:
     def partition(self, v: int, level: int) -> int:
         """Level-`level` partition coin of vertex v (0 = A, 1 = B)."""
         return self.tapes[v][level - 1]
-
-    def degree(self, v: int) -> int:
-        return self.deg[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.records
-
-    def edges(self) -> Iterator[EdgeRecord]:
-        return iter(self.records.values())
 
     def level_of_rank(self, rank: Rank) -> int:
         return level_of_rank(rank, self.thresholds)

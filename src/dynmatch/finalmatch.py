@@ -21,7 +21,7 @@ from collections import deque
 
 from .core import EdgeKey
 from .errors import ConsistencyError
-from .rgmm import DeltaList
+from .rgmm import EMPTY_DELTA, DeltaList
 
 
 class UnionMatcher:
@@ -60,12 +60,12 @@ class UnionMatcher:
     # -- updates ---------------------------------------------------------
 
     def add(self, key: EdgeKey) -> DeltaList:
-        """An edge joined one of the maintained matchings."""
+        """An edge joined one of the maintained matchings; returns the answer's
+        changes, `EMPTY_DELTA` when it has none."""
         count = self.mult.get(key, 0)
         self.mult[key] = count + 1
-        delta = DeltaList()
         if count:
-            return delta  # already present in the union graph
+            return EMPTY_DELTA  # already present in the union graph
         u, v = key
         self.adj.setdefault(u, set()).add(v)
         self.adj.setdefault(v, set()).add(u)
@@ -75,30 +75,32 @@ class UnionMatcher:
             # short augmenting path elsewhere.
             mate[u] = v
             mate[v] = u
-            delta.joined.append(key)
-            return delta
+            return DeltaList([], [key])
         path = self._shortest_through(key)
-        if path is not None:
-            self._flip(path, delta)
+        if path is None:
+            return EMPTY_DELTA
+        delta = DeltaList()
+        self._flip(path, delta)
         return delta
 
     def remove(self, key: EdgeKey) -> DeltaList:
-        """An edge left one of the maintained matchings."""
+        """An edge left one of the maintained matchings; returns the answer's
+        changes, `EMPTY_DELTA` when it has none."""
         count = self.mult.get(key, 0)
         if count == 0:
             raise ConsistencyError(f"union multiplicity underflow for {key}")
-        delta = DeltaList()
         if count > 1:
             self.mult[key] = count - 1
-            return delta
+            return EMPTY_DELTA
         del self.mult[key]
         u, v = key
         self._drop_adj(u, v)
         self._drop_adj(v, u)
-        if self.mate.get(u) == v:
-            del self.mate[u], self.mate[v]
-            delta.left.append(key)
-            self._repair([u, v], delta)
+        if self.mate.get(u) != v:
+            return EMPTY_DELTA
+        del self.mate[u], self.mate[v]
+        delta = DeltaList([key])
+        self._repair([u, v], delta)
         return delta
 
     # -- internals -------------------------------------------------------

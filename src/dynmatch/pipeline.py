@@ -16,7 +16,10 @@ One edge update runs four steps in order:
    incident level edges, arriving vertices scan the base eliminator index
    above the trigger threshold for neighbors holding the partner role --
    levels deeper than the trigger are provably untouched;
-4. forward every matching delta into the union matcher.
+4. forward every matching delta into the union matcher.  Most updates move
+   no matching edge at all (the updated edge is neither in M_0 nor in a level
+   matching), so step 4 runs only when the base delta or some level delta is
+   non-empty; otherwise the answer delta is the shared `EMPTY_DELTA`.
 
 The trigger level is the level of the updated edge's base rank r.  Greedy
 order below r is the same before and after the update, so every edge that
@@ -33,7 +36,7 @@ from enum import Enum
 from .core import EdgeKey, Instance, Rank
 from .errors import UnknownOpError
 from .finalmatch import UnionMatcher
-from .rgmm import DeltaList, MatchingState
+from .rgmm import EMPTY_DELTA, DeltaList, MatchingState
 
 
 class Role(Enum):
@@ -73,7 +76,7 @@ class LevelState:
     state: MatchingState = field(default_factory=MatchingState)
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateReport:
     """What one update did, for metrics and tests."""
 
@@ -172,7 +175,7 @@ class Pipeline:
             key = record.key
             base_delta = self.base.apply_delete(key)
 
-        if not base_delta:
+        if base_delta is EMPTY_DELTA:
             # M_0 and the roles are unchanged: the updated edge itself may
             # still belong to a level graph; reflect exactly that.
             i = self._membership_level(key)
@@ -198,25 +201,24 @@ class Pipeline:
             alpha = self.inst.alpha_for_level(trigger)
             probes = self.rebuild_memberships(role_deltas, alpha, level_deltas)
 
-        # Step 4: forward all deltas to the final matcher, in operation order.
-        answer_delta = DeltaList()
-        for _, delta in [(0, base_delta), *level_deltas]:
-            for k_ in delta.left:
-                answer_delta.extend(self.union.remove(k_))
-            for k_ in delta.joined:
-                answer_delta.extend(self.union.add(k_))
+        # Step 4: forward all deltas to the final matcher, in operation order,
+        # if any matching moved.
+        if base_delta is EMPTY_DELTA and not level_deltas:
+            answer_delta = EMPTY_DELTA
+        else:
+            answer_delta = DeltaList()
+            for _, delta in [(0, base_delta), *level_deltas]:
+                for k_ in delta.left:
+                    answer_delta.extend(self.union.remove(k_))
+                for k_ in delta.joined:
+                    answer_delta.extend(self.union.add(k_))
 
+        # Built positionally: on this per-update path a keyword call costs
+        # more than the dataclass construction itself.
         return UpdateReport(
-            op=op,
-            key=key,
-            base_delta=base_delta,
-            level_deltas=level_deltas,
-            answer_delta=answer_delta,
-            trigger_level=trigger,
-            role_changes=role_changes,
-            candidate_probes=probes,
-            cascade_pops=self.base.counters["pops"] - pops0,
-            elapsed_ns=time.perf_counter_ns() - t0,
+            op, key, base_delta, level_deltas, answer_delta, trigger,
+            role_changes, probes, self.base.counters["pops"] - pops0,
+            time.perf_counter_ns() - t0,
         )
 
     def update_roles(self, changed: set[int]) -> RoleDeltas:
@@ -285,7 +287,7 @@ class Pipeline:
     def _log_level_delta(
         level_deltas: list[tuple[int, DeltaList]], i: int, d: DeltaList
     ) -> None:
-        if d:
+        if d is not EMPTY_DELTA:
             level_deltas.append((i, d))
 
     def _match_level(self, v: int) -> int:

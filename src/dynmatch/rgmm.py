@@ -32,7 +32,7 @@ from .core import UNMATCHED_RANK, ZERO_RANK, EdgeKey, Rank
 from .errors import DuplicateEdgeError, EdgeNotFoundError
 
 
-@dataclass
+@dataclass(slots=True)
 class DeltaList:
     """Edges that left / joined a matching during one operation, each list in
     the order the edges moved.
@@ -41,6 +41,13 @@ class DeltaList:
     updated edge itself, and every other edge in it ranks above that edge
     (greedy order below the updated rank is untouched), so the updated
     edge's rank is the lowest rank in the delta.
+
+    An operation that changes nothing returns the shared `EMPTY_DELTA`
+    instead of a fresh empty delta: `apply_insert` / `apply_delete` and
+    `UnionMatcher.add` / `remove` return it exactly when the matching did not
+    change, so callers test `delta is EMPTY_DELTA`.  Its fields are empty
+    tuples, so an `append` or `extend` on it raises rather than corrupting
+    every later no-op.
     """
 
     left: list[EdgeKey] = field(default_factory=list)
@@ -56,6 +63,10 @@ class DeltaList:
     def extend(self, other: "DeltaList") -> None:
         self.left.extend(other.left)
         self.joined.extend(other.joined)
+
+
+#: The one delta of every operation that changed nothing (see `DeltaList`).
+EMPTY_DELTA = DeltaList((), ())
 
 
 class MatchingState:
@@ -184,18 +195,20 @@ class MatchingState:
         u, v = key
         self.rank_of[key] = rank
         self._index_add(key, rank)
+        k = self.k
+        if k.get(u, UNMATCHED_RANK) <= rank or k.get(v, UNMATCHED_RANK) <= rank:
+            return EMPTY_DELTA
         delta = DeltaList()
-        if self.matched_rank(u) > rank and self.matched_rank(v) > rank:
-            seeds = []
-            for w in (u, v):
-                old = self.matched.get(w)
-                if old is not None:
-                    self._unmatch(old)
-                    delta.left.append(old)
-                    seeds.append(old[0] if old[1] == w else old[1])
-            self._match(key, rank)
-            delta.joined.append(key)
-            self._cascade(seeds, delta)
+        seeds = []
+        for w in (u, v):
+            old = self.matched.get(w)
+            if old is not None:
+                self._unmatch(old)
+                delta.left.append(old)
+                seeds.append(old[0] if old[1] == w else old[1])
+        self._match(key, rank)
+        delta.joined.append(key)
+        self._cascade(seeds, delta)
         return delta
 
     def apply_delete(self, key: EdgeKey) -> DeltaList:
@@ -203,11 +216,11 @@ class MatchingState:
         if self.rank_of.pop(key, None) is None:
             raise EdgeNotFoundError(f"edge {key} not present")
         self._index_remove(key)
-        delta = DeltaList()
-        if key in self.matching:
-            self._unmatch(key)
-            delta.left.append(key)
-            self._cascade(list(key), delta)
+        if key not in self.matching:
+            return EMPTY_DELTA
+        self._unmatch(key)
+        delta = DeltaList([key])
+        self._cascade(list(key), delta)
         return delta
 
     # -- internals -------------------------------------------------------

@@ -154,12 +154,14 @@ def validate_vertex_sampling(
     `edges` are (v, u) pairs over disjoint index spaces; v-side vertices are
     kept independently with probability p, the greedy matching of the induced
     subgraph is built under one fixed edge permutation, and X counts edges of
-    `matching` whose v endpoint got matched.
+    `matching` whose v endpoint got matched.  The permutation and the keep
+    coins come from two independent streams spawned from `seed`.
     """
-    order = np.random.default_rng(seed).permutation(len(edges))
+    perm_seq, coin_seq = np.random.SeedSequence(seed).spawn(2)
+    order = np.random.default_rng(perm_seq).permutation(len(edges))
     ordered = [edges[i] for i in order]
     m_vs = [v for v, _ in matching]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(coin_seq)
     samples: list[int] = []
     for _ in range(trials):
         keep = (rng.random(v_count) < p).tolist()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmatch.core import (
+    MAX_LEVELS,
     MAX_VERTICES,
     RANK_SCALE,
     Instance,
@@ -65,6 +66,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Instance(InstanceConfig(2**32, 4, 2))
 
+    def test_levels_capped(self):
+        InstanceConfig(4, 4, MAX_LEVELS).validate()
+        with pytest.raises(ConfigError, match=rf"\[1, {MAX_LEVELS}\], got 1500"):
+            InstanceConfig(4, 4, 1500).validate()
+        with pytest.raises(ConfigError):
+            Instance(InstanceConfig(4, 4, MAX_LEVELS + 1))
+
     def test_answer_depth_defaults_to_levels_plus_one(self):
         assert InstanceConfig(4, 4, 3).answer_depth() == 4
 
@@ -105,10 +113,10 @@ class TestEdgeLifecycle:
     def test_retire_returns_record_and_decrements_degree(self):
         inst = make_instance()
         rec = inst.admit_edge(1, 2)
-        assert inst.degree(1) == 1
+        assert inst.deg[1] == 1
         out = inst.retire_edge(1, 2)
         assert out == rec
-        assert inst.degree(1) == 0
+        assert inst.deg[1] == 0
 
     def test_retire_absent_edge(self):
         inst = make_instance()

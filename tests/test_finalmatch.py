@@ -6,6 +6,7 @@ from dynmatch.core import edge_key
 from dynmatch.errors import ConsistencyError
 from dynmatch.exact import max_matching_exact
 from dynmatch.finalmatch import UnionMatcher
+from dynmatch.rgmm import EMPTY_DELTA
 from dynmatch.suites import has_short_augmenting_path
 
 
@@ -31,7 +32,7 @@ class TestBasics:
         um.add((0, 1))
         um.add((0, 1))
         d = um.remove((0, 1))
-        assert not d
+        assert d is EMPTY_DELTA
         assert um.matching() == {(0, 1)}
         d = um.remove((0, 1))
         assert d.left == [(0, 1)]
@@ -92,6 +93,38 @@ class TestContractUnderChurn:
             mu = max_matching_exact(n, edges).size
             assert len(answer) * (depth + 1) >= mu * depth
         assert checked >= 400
+
+    def test_result_is_truthy_exactly_when_the_answer_changes(self):
+        # perfbench counts bool(result) as an effective union call, so the
+        # return value must be truthy exactly when the answer moved; a call
+        # that moves nothing returns the shared EMPTY_DELTA.
+        rng = random.Random(31)
+        um = UnionMatcher(depth=2)
+        mult: dict = {}
+        seen = {"bump": 0, "changed": 0, "unchanged": 0}
+        for _ in range(3000):
+            if mult and rng.random() < 0.5:
+                key = rng.choice(sorted(mult))
+                mult[key] -= 1
+                if not mult[key]:
+                    del mult[key]
+                call = um.remove
+                seen["bump"] += key in mult
+            else:
+                u, v = rng.randrange(12), rng.randrange(12)
+                if u == v:
+                    continue
+                key = edge_key(u, v)
+                seen["bump"] += key in mult
+                mult[key] = mult.get(key, 0) + 1
+                call = um.add
+            before = um.matching()
+            d = call(key)
+            changed = um.matching() != before
+            assert bool(d) == changed
+            assert (d is EMPTY_DELTA) == (not changed)
+            seen["changed" if changed else "unchanged"] += 1
+        assert all(seen.values()), seen
 
     def test_deterministic_given_same_updates(self):
         ops = []

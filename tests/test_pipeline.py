@@ -15,6 +15,7 @@ from dynmatch.errors import (
 from dynmatch.exact import max_matching_exact
 from dynmatch.pipeline import _PARTNER, Pipeline, Role
 from dynmatch.reference import _ADMITTED, static_reference
+from dynmatch.rgmm import EMPTY_DELTA
 from dynmatch.streams import StreamSpec, generate_stream
 from dynmatch.suites import run_equivalence_stream
 
@@ -51,9 +52,9 @@ class TestSingleUpdates:
         if target is None:
             pytest.skip("seed produced no such edge")
         report = pipe.handle_update("del", *target)
-        assert not report.base_delta
+        assert report.base_delta is EMPTY_DELTA
         assert report.level_deltas == []
-        assert not report.answer_delta
+        assert report.answer_delta is EMPTY_DELTA
 
     def test_snapshot_matches_reference_after_each_single_update(self):
         inst, pipe = fresh(n=8, delta=8, levels=2, seed=13)
@@ -134,6 +135,38 @@ class TestLevelDeltaOrder:
             revisits += len(levels) - len(set(levels))
         # the stream exercises updates that touch one level more than once
         assert revisits > 0
+
+
+class TestLeanPath:
+    def test_deltas_are_not_shared_across_updates(self):
+        # An update that moves no matching edge reports the shared
+        # EMPTY_DELTA everywhere; every non-empty delta a report hands out
+        # stays as it was through all later updates.
+        events = generate_stream(
+            StreamSpec("erdos-churn", 120, 12, 2000, 17, {"target_edges": 400})
+        )
+        inst = Instance(InstanceConfig(120, 12, 3, sample_p=0.12, algo_seed=18))
+        pipe = Pipeline(inst)
+        kept = []
+        noops = 0
+        for ev in events:
+            report = pipe.handle_update(ev.op, ev.u, ev.v)
+            deltas = [report.base_delta, report.answer_delta]
+            deltas += [d for _, d in report.level_deltas]
+            if report.base_delta is EMPTY_DELTA and not report.level_deltas:
+                noops += 1
+                assert report.answer_delta is EMPTY_DELTA
+            for d in deltas:
+                if d is not EMPTY_DELTA:
+                    kept.append((d, list(d.left), list(d.joined)))
+        assert noops and sum(1 for d, _, _ in kept if d) > 100
+        assert EMPTY_DELTA.left == () and EMPTY_DELTA.joined == ()
+        for d, left, joined in kept:
+            assert d.left == left and d.joined == joined
+        # the lean path forwarded everything that moved
+        assert pipe.snapshot() == static_reference(
+            inst.records.values(), inst.tapes, inst.config
+        )
 
 
 class TestCollectorContract:

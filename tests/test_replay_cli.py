@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dynmatch.cli import main
-from dynmatch.core import Instance, InstanceConfig
+from dynmatch.core import MAX_LEVELS, Instance, InstanceConfig
 from dynmatch.errors import OracleLimitError, ReplayError
 from dynmatch.pipeline import Pipeline
 from dynmatch.replay import replay
@@ -131,6 +131,17 @@ class TestCli:
         rc = main(["run", "--stream", str(stream), "--levels", "2", "--delta", "8"])
         assert rc == 2
         assert "line 1: missing field 'v'" in capsys.readouterr().err
+
+    def test_run_rejects_levels_above_the_cap(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
+        rc = main(["run", "--stream", str(stream), "--levels", "1500", "--delta", "8"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert f"levels must lie in [1, {MAX_LEVELS}], got 1500" in lines[0]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("window", ["0", "-2"])
     def test_gen_rejects_a_window_below_one(self, tmp_path, capsys, window):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dynmatch.core import UNMATCHED_RANK, edge_key, make_rank
 from dynmatch.errors import DuplicateEdgeError, EdgeNotFoundError
-from dynmatch.rgmm import MatchingState, build_static
+from dynmatch.rgmm import EMPTY_DELTA, DeltaList, MatchingState, build_static
 
 from helpers import random_stream, rank_at, unpack_rank
 
@@ -70,7 +70,7 @@ class TestApplyInsert:
         st_ = MatchingState()
         st_.apply_insert((1, 2), rank_at(0.2, (1, 2)))
         d = st_.apply_insert((2, 3), rank_at(0.5, (2, 3)))
-        assert not d
+        assert d is EMPTY_DELTA
         assert st_.elim[(2, 3)] == rank_at(0.2, (1, 2))
 
 
@@ -87,7 +87,7 @@ class TestApplyDelete:
         st_.apply_insert((1, 2), rank_at(0.2, (1, 2)))
         st_.apply_insert((2, 3), rank_at(0.5, (2, 3)))
         d = st_.apply_delete((2, 3))
-        assert not d
+        assert d is EMPTY_DELTA
         assert (2, 3) not in st_.elim
         assert st_.matching == {(1, 2)}
 
@@ -111,6 +111,38 @@ class TestApplyDelete:
 
 #: A label under which every neighbor passes the scan's filter.
 KEEP_ALL = [None] * 16
+
+
+class TestEmptyDelta:
+    def test_shared_empty_delta_cannot_be_mutated(self):
+        with pytest.raises(AttributeError):
+            EMPTY_DELTA.left.append((0, 1))
+        with pytest.raises(AttributeError):
+            EMPTY_DELTA.joined.append((0, 1))
+        with pytest.raises(AttributeError):
+            EMPTY_DELTA.extend(DeltaList([(0, 1)], [(2, 3)]))
+        assert EMPTY_DELTA.left == () and EMPTY_DELTA.joined == ()
+        assert not EMPTY_DELTA and EMPTY_DELTA.size() == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_empty_delta_exactly_when_matching_unchanged(self, seed):
+        rng = random.Random(seed)
+        st_ = MatchingState()
+        noops = changes = 0
+        for op, key, rank in random_stream(rng, 10, 300):
+            before = set(st_.matching)
+            if op == "ins":
+                d = st_.apply_insert(key, rank)
+            else:
+                d = st_.apply_delete(key)
+            if d is EMPTY_DELTA:
+                noops += 1
+                assert st_.matching == before
+            else:
+                changes += 1
+                assert d and st_.matching != before
+        assert noops and changes
+        assert EMPTY_DELTA.size() == 0
 
 
 class TestNeighborsAbove:

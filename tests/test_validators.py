@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dynmatch.cli import main
-from dynmatch.core import EdgeRecord, Instance, InstanceConfig, make_rank
+from dynmatch.core import EdgeRecord, Instance, InstanceConfig, edge_key, make_rank
 from dynmatch.errors import ConfigError
 from dynmatch.exact import max_matching_exact
 from dynmatch.pipeline import Role
@@ -51,7 +51,8 @@ class TestStaticReference:
         rng = random.Random(4)
         for _ in range(18):
             u, v = rng.randrange(10), rng.randrange(10)
-            if u != v and not inst.has_edge(u, v) and inst.degree(u) < 6 and inst.degree(v) < 6:
+            if (u != v and edge_key(u, v) not in inst.records
+                    and inst.deg[u] < 6 and inst.deg[v] < 6):
                 inst.admit_edge(u, v)
         a = static_reference(inst.records.values(), inst.tapes, config, exact_answer=True)
         b = static_reference(
