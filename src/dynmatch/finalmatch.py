@@ -13,6 +13,18 @@ bite marked-vertex searches in non-bipartite graphs.  The recursive steps are
 methods that take their search state as arguments rather than closures over
 it, so a search leaves no reference cycle behind: everything it allocates is
 freed by reference counting, not by the cyclic garbage collector.
+
+The matcher keeps four structures:
+- `mult`: each union edge with its multiplicity (how many of M_0..M_L hold it);
+- `adj`: each vertex's neighbours in the union graph;
+- `mate`: each matched vertex's partner in the answer;
+- `answer`: the answer's edges as canonical `(lo, hi)` keys.
+
+`mate` changes in three places only (the free-free fast path of `add`, a
+matched edge leaving in `remove`, and `_flip`), and each of them updates
+`answer` in the same step, so `answer == {(v, mate[v]) : v < mate[v]}` holds
+between calls.  A read therefore costs one set copy of size |answer| instead
+of a scan over `mate`.
 """
 
 from __future__ import annotations
@@ -29,6 +41,11 @@ class UnionMatcher:
 
     `depth` is k: after every update no augmenting path of length <= 2k - 1
     survives.  Single-writer, driven synchronously by the pipeline.
+
+    State: `mult` (edge -> multiplicity), `adj` (vertex -> union neighbours),
+    `mate` (matched vertex -> partner) and `answer` (the matched edges), with
+    `answer == {(v, mate[v]) : v < mate[v]}` after every call.  `matching()`
+    returns a copy of `answer`, one set copy of size |answer|.
     """
 
     def __init__(self, depth: int):
@@ -38,6 +55,7 @@ class UnionMatcher:
         self.mult: dict[EdgeKey, int] = {}
         self.adj: dict[int, set[int]] = {}
         self.mate: dict[int, int] = {}
+        self.answer: set[EdgeKey] = set()
 
     # -- queries ---------------------------------------------------------
 
@@ -49,7 +67,8 @@ class UnionMatcher:
         return len(self.mate) // 2
 
     def matching(self) -> set[EdgeKey]:
-        return {(v, m) for v, m in self.mate.items() if v < m}
+        """A fresh copy of the answer; the caller may mutate it freely."""
+        return set(self.answer)
 
     def edges(self) -> set[EdgeKey]:
         return set(self.mult)
@@ -75,6 +94,7 @@ class UnionMatcher:
             # short augmenting path elsewhere.
             mate[u] = v
             mate[v] = u
+            self.answer.add(key)
             return DeltaList([], [key])
         path = self._shortest_through(key)
         if path is None:
@@ -99,6 +119,7 @@ class UnionMatcher:
         if self.mate.get(u) != v:
             return EMPTY_DELTA
         del self.mate[u], self.mate[v]
+        self.answer.remove(key)
         delta = DeltaList([key])
         self._repair([u, v], delta)
         return delta
@@ -114,15 +135,20 @@ class UnionMatcher:
     def _flip(self, path: list[int], delta: DeltaList) -> None:
         """Augment along a path given as a vertex list (odd edge count)."""
         mate = self.mate
+        answer = self.answer
         for i in range(1, len(path) - 1, 2):
             a, b = path[i], path[i + 1]
             del mate[a], mate[b]
-            delta.left.append((a, b) if a < b else (b, a))
+            key = (a, b) if a < b else (b, a)
+            answer.remove(key)
+            delta.left.append(key)
         for i in range(0, len(path) - 1, 2):
             a, b = path[i], path[i + 1]
             mate[a] = b
             mate[b] = a
-            delta.joined.append((a, b) if a < b else (b, a))
+            key = (a, b) if a < b else (b, a)
+            answer.add(key)
+            delta.joined.append(key)
 
     def _repair(self, seeds: list[int], delta: DeltaList) -> None:
         """Re-establish the no-short-augmenting-path invariant.

@@ -126,7 +126,8 @@ class Pipeline:
     # -- queries ---------------------------------------------------------
 
     def current_answer(self) -> set[EdgeKey]:
-        """The maintained matching over M_0 u M_1 u ... u M_L."""
+        """The maintained matching over M_0 u M_1 u ... u M_L, as a fresh copy:
+        mutating it leaves the pipeline's state alone."""
         return self.union.matching()
 
     def snapshot(self) -> dict:

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
-from dynmatch.core import edge_key
+from dynmatch.core import Instance, InstanceConfig, edge_key
 from dynmatch.errors import ConsistencyError
 from dynmatch.exact import max_matching_exact
 from dynmatch.finalmatch import UnionMatcher
+from dynmatch.pipeline import Pipeline
 from dynmatch.rgmm import EMPTY_DELTA
+from dynmatch.streams import StreamSpec, generate_stream
 from dynmatch.suites import has_short_augmenting_path
 
 
@@ -52,6 +55,38 @@ class TestBasics:
         assert um.size() == 2
 
 
+def answer_from_mate(um: UnionMatcher) -> set:
+    """The answer rebuilt from `mate`: the oracle for the maintained set."""
+    return {(v, m) for v, m in um.mate.items() if v < m}
+
+
+class TestMaintainedAnswer:
+    def test_answer_equals_mate_after_every_pipeline_update(self):
+        events = generate_stream(
+            StreamSpec("erdos-churn", 100, 16, 2000, 41, {"target_edges": 400})
+        )
+        pipe = Pipeline(Instance(InstanceConfig(100, 16, 4, algo_seed=43)))
+        um = pipe.union
+        flips, repairs = Counter(), [0]
+        flip, repair = um._flip, um._repair
+
+        # record the paths flipped and the repairs run, so the check is known
+        # to cover augmenting paths through matched edges and `_repair`
+        def counted_flip(path, delta):
+            flips[len(path) - 1] += 1
+            return flip(path, delta)
+
+        def counted_repair(seeds, delta):
+            repairs[0] += 1
+            return repair(seeds, delta)
+
+        um._flip, um._repair = counted_flip, counted_repair
+        for ev in events:
+            pipe.handle_update(ev.op, ev.u, ev.v)
+            assert um.answer == answer_from_mate(um)
+        assert repairs[0] > 0 and any(length >= 3 for length in flips), flips
+
+
 class TestContractUnderChurn:
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_no_short_augmenting_path_and_ratio(self, depth):
@@ -80,6 +115,7 @@ class TestContractUnderChurn:
                 deg[key[1]] += 1
                 um.add(key)
             checked += 1
+            assert um.answer == answer_from_mate(um)
             answer = um.matching()
             # validity
             seen = set()

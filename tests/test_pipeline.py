@@ -68,6 +68,22 @@ class TestSingleUpdates:
                 inst.records.values(), inst.tapes, config
             )
 
+    def test_current_answer_is_a_copy(self):
+        _, pipe = fresh(n=40, delta=8, levels=3, seed=19)
+        for ev in generate_stream(StreamSpec("erdos-churn", 40, 8, 200, 3, {})):
+            pipe.handle_update(ev.op, ev.u, ev.v)
+        answer = frozenset(pipe.current_answer())
+        size = pipe.union.size()
+        snap = pipe.snapshot()
+        assert answer and size == len(answer)
+        mine = pipe.current_answer()
+        mine.add((40, 41))  # not even an edge of this graph
+        assert pipe.current_answer() == answer
+        mine.clear()
+        assert pipe.current_answer() == answer
+        assert pipe.union.size() == size
+        assert pipe.snapshot() == snap
+
 
 class TestRejectedUpdates:
     """A rejected update raises a typed error and changes no state."""
