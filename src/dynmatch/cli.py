@@ -8,9 +8,16 @@ import os
 import sys
 
 from .core import InstanceConfig
-from .errors import DynMatchError
+from .errors import ConfigError, DynMatchError
 from .replay import replay, write_summary
-from .streams import GENERATORS, StreamSpec, generate_stream, read_stream, write_stream
+from .streams import (
+    GENERATORS,
+    StreamSpec,
+    UpdateEvent,
+    generate_stream,
+    read_stream,
+    write_stream,
+)
 from .suites import SUITES, run_validation
 
 
@@ -66,6 +73,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _inferred_n(events: list[UpdateEvent]) -> int:
+    """1 + the largest vertex id, refused above both 2^16 and four times the
+    stream's distinct vertex count: construction sizes the per-vertex tables
+    by n before the first event.  An explicit `--n` is not checked."""
+    if not events:
+        return 1
+    top = max(events, key=lambda ev: max(ev.u, ev.v))
+    n = 1 + max(top.u, top.v)
+    distinct = len({w for ev in events for w in (ev.u, ev.v)})
+    if n > max(1 << 16, 4 * distinct):
+        raise ConfigError(
+            f"line {top.seq + 1}: vertex id {n - 1} would set n = {n} for "
+            f"{distinct} distinct vertices; pass --n to run it"
+        )
+    return n
+
+
 def _run(args: argparse.Namespace) -> int:
     if args.command == "gen":
         params = {}
@@ -82,9 +106,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "run":
         events = read_stream(args.stream)
-        n = args.n
-        if n is None:
-            n = 1 + max((max(ev.u, ev.v) for ev in events), default=0)
+        n = args.n if args.n is not None else _inferred_n(events)
         config = InstanceConfig(
             n=n,
             delta_cap=args.delta,

@@ -275,7 +275,7 @@ class Pipeline:
                 # would, in the same order.
                 candidates = self.base.neighbors_above(v, alpha, role, _PARTNER[new])
                 probes += len(candidates)
-                for key, _ in candidates:
+                for key in candidates:
                     if key not in ls.state.rank_of:
                         rec = self.inst.records[key]
                         d = ls.state.apply_insert(rec.key, rec.ranks[i])

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .core import EdgeKey, EdgeRecord, InstanceConfig, level_of_rank, thresholds_for
-from .exact import max_matching_exact
 from .pipeline import Role
 from .rgmm import build_static
 
@@ -29,13 +28,10 @@ def static_reference(
     records: Iterable[EdgeRecord],
     tapes: Sequence[tuple[int, ...]],
     config: InstanceConfig,
-    *,
-    exact_answer: bool = False,
 ) -> dict:
     """Build the full layered construction from scratch on the given graph and tapes.
 
-    Returns the same snapshot shape the dynamic pipeline produces, plus
-    `answer_size` (exact maximum matching of the union) when requested.
+    Returns the same snapshot shape the dynamic pipeline produces.
     """
     config.validate()
     records = list(records)
@@ -89,7 +85,7 @@ def static_reference(
         for key in m_i[i].matching:
             union[key] = union.get(key, 0) + 1
 
-    out = {
+    return {
         "m0": base.snapshot(),
         "members": {i: frozenset(members[i]) for i in members},
         "roles": {i: tuple(roles[i]) for i in roles},
@@ -97,8 +93,3 @@ def static_reference(
         "m_i": {i: m_i[i].snapshot() for i in m_i},
         "union": union,
     }
-    if exact_answer:
-        result = max_matching_exact(n, union.keys(), limit=max(n, 2000))
-        out["answer_size"] = result.size
-        out["answer"] = result.witness
-    return out

@@ -14,12 +14,14 @@ never stored.  The per-vertex adjacency index is unordered and maps each
 neighbor to the rank of the shared edge, so a candidate scan at v reads
 ranks and neighbors straight from the index: it hashes only integer vertex
 ids, never an edge tuple, and builds an edge key only for what it returns.
-A scan costs O(deg(v)) plus sorting what it keeps, with an O(1) early exit
-when k(v) is below the threshold.  A scan can also filter on a per-vertex
-label of the far endpoint before the sort, so it sorts only what its caller
-keeps.  An index kept sorted by eliminator rank would make that scan
-output-sensitive, but re-keying it on every matching change cost more than
-it saved at every degree cap measured (32 to 4096).
+One scan, `neighbors_above`, serves every caller; it costs O(deg(v)) plus
+sorting what it keeps, with an O(1) early exit when k(v) is below the
+threshold.  It can also filter on a per-vertex label of the far endpoint
+before the sort, so it sorts only what its caller keeps, and it returns edge
+keys only, in (eliminator rank, edge) order.  An index kept sorted by
+eliminator rank would make that scan output-sensitive, but re-keying it on
+every matching change cost more than it saved at every degree cap measured
+(32 to 4096).
 """
 
 from __future__ import annotations
@@ -82,10 +84,11 @@ class MatchingState:
     elim : edge -> eliminator rank, computed from k on every read.
     index : vertex -> unordered dict mapping each neighbor x to the rank of
         edge vx (the same int object `rank_of` holds).  Scans read ranks from
-        it without hashing an edge tuple.  A candidate scan at v
-        (`neighbors_above`, `incident`) filters it in O(deg(v)), by
-        eliminator rank and optionally by a label of the neighbor, and sorts
-        what it keeps, or returns in O(1) when k(v) is below the threshold.
+        it without hashing an edge tuple.  The one candidate scan at v,
+        `neighbors_above` (`incident` is its threshold-zero case), filters it
+        in O(deg(v)), by eliminator rank and optionally by a label of the
+        neighbor, and returns the edge keys it keeps sorted by (eliminator
+        rank, edge), or returns in O(1) when k(v) is below the threshold.
 
     Single-writer; `apply_insert` / `apply_delete` restore all invariants
     before returning.
@@ -117,29 +120,18 @@ class MatchingState:
 
     def incident(self, v: int) -> list[EdgeKey]:
         """Incident edges in increasing (eliminator rank, edge) order."""
-        return [key for (_, key) in self._by_eliminator(v, ZERO_RANK)]
+        return self.neighbors_above(v, ZERO_RANK)
 
     def neighbors_above(
-        self, v: int, threshold: Rank, label: Sequence[object], want: object
-    ) -> list[tuple[EdgeKey, Rank]]:
-        """Incident edges vx whose eliminator rank is >= threshold and whose
-        far endpoint has `label[x] is want`, as (edge, eliminator rank) in
-        increasing (eliminator rank, edge) order."""
-        return [
-            (key, erank)
-            for (erank, key) in self._by_eliminator(v, threshold, label, want)
-        ]
-
-    def _by_eliminator(
         self,
         v: int,
         threshold: Rank,
         label: Sequence[object] | None = None,
         want: object = None,
-    ) -> list[tuple[Rank, EdgeKey]]:
-        """Sorted (eliminator rank, edge) for the edges vx at v whose
-        eliminator rank is >= threshold and, when `label` is given, whose
-        neighbor has `label[x] is want`.
+    ) -> list[EdgeKey]:
+        """Edges vx at v whose eliminator rank is >= threshold and, when
+        `label` is given, whose neighbor has `label[x] is want`, in increasing
+        (eliminator rank, edge) order.
 
         The order is part of the contract: the pipeline replays level-graph
         deletes and inserts in it, and the union answer depends on that order.
@@ -161,7 +153,7 @@ class MatchingState:
             if kx >= threshold:
                 out.append((kx if kx < kv else kv, (v, x) if v < x else (x, v)))
         out.sort()
-        return out
+        return [key for _, key in out]
 
     def is_maximal(self) -> bool:
         return all(

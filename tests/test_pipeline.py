@@ -291,10 +291,9 @@ class TestRebuild:
                     role = pipe.role[i]
                     for key in pipe.levels[i].state.rank_of:
                         for v in key:
-                            got = {
-                                k for k, _ in
+                            got = set(
                                 pipe.base.neighbors_above(v, alpha, role, _PARTNER[role[v]])
-                            }
+                            )
                             assert key in got
                             checked += 1
         assert checked > 0

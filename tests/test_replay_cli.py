@@ -185,6 +185,25 @@ class TestCli:
         assert len(lines) == 1
         assert "oracle_every must be >= 0" in lines[0] and "-3" in lines[0]
 
+    def test_run_refuses_an_inferred_n_far_above_the_stream(self, tmp_path, capsys):
+        # one edge to vertex 199999 would otherwise size the universe (tapes
+        # and role lists) at 200000 vertices before the first event
+        stream = tmp_path / "s.jsonl"
+        stream.write_text(
+            '{"op": "ins", "u": 0, "v": 1}\n{"op": "ins", "u": 0, "v": 199999}\n'
+        )
+        metrics = tmp_path / "m.jsonl"
+        summary = tmp_path / "summary.json"
+        rc = self._run(stream, "--oracle-every", "0",
+                       "--out", str(metrics), "--summary", str(summary))
+        assert rc == 2
+        line = self._one_error_line(capsys)
+        assert "line 2:" in line and "n = 200000" in line and "--n" in line
+        assert not metrics.exists() and not summary.exists()
+        # an explicit --n is taken as given
+        assert self._run(stream, "--oracle-every", "0", "--n", "200000") == 0
+        assert '"final_m0": 1' in capsys.readouterr().out
+
     @staticmethod
     def _one_error_line(capsys) -> str:
         captured = capsys.readouterr()

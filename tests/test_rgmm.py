@@ -109,10 +109,6 @@ class TestApplyDelete:
         assert st_.matching == {(2, 3)}
 
 
-#: A label under which every neighbor passes the scan's filter.
-KEEP_ALL = [None] * 16
-
-
 class TestEmptyDelta:
     def test_shared_empty_delta_cannot_be_mutated(self):
         with pytest.raises(AttributeError):
@@ -148,26 +144,26 @@ class TestEmptyDelta:
 class TestNeighborsAbove:
     def test_threshold_zero_returns_all(self):
         st_ = build_static(ranked((0, 1, 0.2), (0, 2, 0.5), (0, 3, 0.9)))
-        got = {k for k, _ in st_.neighbors_above(0, rank_at(0.0, (0, 0)), KEEP_ALL, None)}
+        got = set(st_.neighbors_above(0, rank_at(0.0, (0, 0))))
         assert got == {(0, 1), (0, 2), (0, 3)}
 
     def test_threshold_above_everything_is_empty(self):
         st_ = build_static(ranked((0, 1, 0.2)))
-        assert st_.neighbors_above(0, UNMATCHED_RANK, KEEP_ALL, None) == []
+        assert st_.neighbors_above(0, UNMATCHED_RANK) == []
 
     def test_star_all_eliminators_equal_center_match(self):
         st_ = build_static(
             ranked((0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3), (0, 4, 0.4))
         )
         assert st_.matching == {(0, 1)}
-        assert st_.neighbors_above(0, rank_at(0.2), KEEP_ALL, None) == []
-        low = st_.neighbors_above(0, rank_at(0.05), KEEP_ALL, None)
-        assert {k for k, _ in low} == {(0, 1), (0, 2), (0, 3), (0, 4)}
+        assert st_.neighbors_above(0, rank_at(0.2)) == []
+        low = st_.neighbors_above(0, rank_at(0.05))
+        assert set(low) == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
     def test_scan_agrees_with_filtering_everything(self):
-        # both scans return lists in ascending (eliminator rank, edge) order,
-        # the order the pipeline replays level-graph updates in; the label
-        # filter keeps that order for the edges it keeps
+        # both scans return edge keys in ascending (eliminator rank, edge)
+        # order, the order the pipeline replays level-graph updates in; the
+        # label filter keeps that order for the edges it keeps
         rng = random.Random(11)
         edges = {}
         st_ = MatchingState()
@@ -180,7 +176,7 @@ class TestNeighborsAbove:
                 del edges[key]
         elim = st_.elim
         coin = [rng.randrange(2) for _ in range(10)]
-        labels = [(KEEP_ALL, None), (coin, 1), (coin, 0), ([None] * 10, "none")]
+        labels = [(None, None), (coin, 1), (coin, 0), ([None] * 10, "none")]
         kept_some = False
         for v in range(10):
             at_v = sorted((elim[k], k) for k in edges if v in k)
@@ -190,13 +186,16 @@ class TestNeighborsAbove:
                 # just above k(v): every eliminator at v is <= k(v)
                 value, lo, hi = unpack_rank(st_.k[v])
                 above = make_rank(value, lo, hi + 1)
-                assert st_.neighbors_above(v, above, KEEP_ALL, None) == []
+                assert st_.neighbors_above(v, above) == []
                 thresholds.append(st_.k[v])
             for threshold in thresholds:
                 for label, want in labels:
                     expect = [
-                        (k, e) for e, k in at_v
-                        if e >= threshold and label[k[0] if k[1] == v else k[1]] is want
+                        k for e, k in at_v
+                        if e >= threshold and (
+                            label is None
+                            or label[k[0] if k[1] == v else k[1]] is want
+                        )
                     ]
                     got = st_.neighbors_above(v, threshold, label, want)
                     assert got == expect
