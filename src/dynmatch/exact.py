@@ -226,18 +226,20 @@ class IncrementalMatching:
     """A maximum matching maintained across single edge updates.
 
     Each update changes mu by at most one, so maximality is restored with at
-    most one augmenting-path search: deletions search from the two freed
-    endpoints only, insertions search from free roots until one succeeds.
+    most one augmenting-path search.  Any new augmenting path after an
+    insert must use the new edge, and a free vertex can only end a path:
+    an insert between two free vertices matches them directly, one with
+    exactly one free endpoint searches from that endpoint only, and one
+    between two matched vertices searches from free roots until one
+    succeeds.  A delete of a matching edge searches from its two freed
+    endpoints only.  `size` is the matching size, kept as a counter.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.adj: list[set[int]] = [set() for _ in range(n)]
         self.match = [-1] * n
-
-    @property
-    def size(self) -> int:
-        return sum(1 for v in self.match if v != -1) // 2
+        self.size = 0
 
     def matching(self) -> set[EdgeKey]:
         return {(v, m) for v, m in enumerate(self.match) if m > v}
@@ -249,14 +251,12 @@ class IncrementalMatching:
         if match[u] == -1 and match[v] == -1:
             match[u] = v
             match[v] = u
-            return
-        # The matching was maximum before, so any new augmenting path must
-        # run through the new edge and starts at some free vertex.
-        for root in range(self.n):
-            if match[root] == -1 and self.adj[root]:
-                exposed, p = _find_path(self.adj, match, root)
-                if exposed != -1:
-                    _augment(match, p, exposed)
+            self.size += 1
+        elif match[u] == -1 or match[v] == -1:
+            self._augment_from(u if match[u] == -1 else v)
+        else:
+            for root in range(self.n):
+                if match[root] == -1 and self.adj[root] and self._augment_from(root):
                     return
 
     def delete(self, u: int, v: int) -> None:
@@ -267,9 +267,17 @@ class IncrementalMatching:
             return  # removing a non-witness edge cannot raise mu
         match[u] = -1
         match[v] = -1
+        self.size -= 1
         # Any augmenting path for the reduced matching ends at u or v.
         for root in (u, v):
             if match[root] == -1:
-                exposed, p = _find_path(self.adj, match, root)
-                if exposed != -1:
-                    _augment(match, p, exposed)
+                self._augment_from(root)
+
+    def _augment_from(self, root: int) -> bool:
+        """Augment along a path from the free vertex `root`, if one exists."""
+        exposed, p = _find_path(self.adj, self.match, root)
+        if exposed == -1:
+            return False
+        _augment(self.match, p, exposed)
+        self.size += 1
+        return True

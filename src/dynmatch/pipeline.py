@@ -133,13 +133,14 @@ class Pipeline:
     def snapshot(self) -> dict:
         """Full comparable state (the shape the static reference also builds)."""
         members: dict[int, set[EdgeKey]] = {i: set() for i in self.levels}
+        k = self.base.k
         for key in self.base.matching:
-            members[self.inst.level_of_rank(self.base.rank_of[key])].add(key)
+            members[self.inst.level_of_rank(k[key[0]])].add(key)
         return {
             "m0": self.base.snapshot(),
             "members": {i: frozenset(keys) for i, keys in members.items()},
             "roles": {i: tuple(self.role[i]) for i in self.role},
-            "g_edges": {i: dict(ls.state.rank_of) for i, ls in self.levels.items()},
+            "g_edges": {i: ls.state.rank_of for i, ls in self.levels.items()},
             "m_i": {i: ls.state.snapshot() for i, ls in self.levels.items()},
             "union": dict(self.union.mult),
         }
@@ -165,8 +166,9 @@ class Pipeline:
         role_changes = 0
 
         # Step 1: base matching.
-        # Every layer keys the edge by its record's tuple, so a live edge
-        # holds one key object, not one per layer.
+        # The layers index an edge by its vertex ids; only `matched` holds
+        # edge keys.  The updated edge is passed as its record's tuple, so it
+        # joins a matching under that key; a cascade builds its own keys.
         if op == "ins":
             record = self.inst.admit_edge(u, v)
             key = record.key
@@ -266,6 +268,7 @@ class Pipeline:
                     self._log_level_delta(level_deltas, i, ls.state.apply_delete(key))
         for i in sorted(role_deltas):
             ls = self.levels[i]
+            index = ls.state.index
             role = self.role[i]
             for v, old, new in role_deltas[i]:
                 if new is Role.ABSENT:
@@ -276,7 +279,7 @@ class Pipeline:
                 candidates = self.base.neighbors_above(v, alpha, role, _PARTNER[new])
                 probes += len(candidates)
                 for key in candidates:
-                    if key not in ls.state.rank_of:
+                    if key[1] not in index.get(key[0], ()):
                         rec = self.inst.records[key]
                         d = ls.state.apply_insert(rec.key, rec.ranks[i])
                         self._log_level_delta(level_deltas, i, d)

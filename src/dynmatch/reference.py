@@ -47,7 +47,7 @@ def static_reference(
     members: dict[int, set[EdgeKey]] = {i: set() for i in range(1, levels + 1)}
     match_level = [0] * n
     for key in base.matching:
-        lvl = level_of_rank(base.rank_of[key], thresholds)
+        lvl = level_of_rank(base.k[key[0]], thresholds)
         members[lvl].add(key)
         match_level[key[0]] = lvl
         match_level[key[1]] = lvl

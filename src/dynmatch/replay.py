@@ -65,7 +65,7 @@ def replay(
             except DynMatchError as exc:
                 raise ReplayError(ev.seq, str(exc)) from exc
             records += 1
-            m0 = len(pipe.base.matching)
+            m0 = len(pipe.base.matched) // 2
             answer = pipe.union.size()
             mu = None
             ratio = None

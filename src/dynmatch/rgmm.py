@@ -10,10 +10,13 @@ Every edge has an *eliminator* (the lowest-rank matched edge touching it;
 itself if matched).  Since a matching has at most one edge per vertex, the
 eliminator rank of edge uv is simply min(k(u), k(v)) where k(.) is the
 matched rank (sentinel 1 when free), so it is derived from k on demand and
-never stored.  The per-vertex adjacency index is unordered and maps each
-neighbor to the rank of the shared edge, so a candidate scan at v reads
-ranks and neighbors straight from the index: it hashes only integer vertex
-ids, never an edge tuple, and builds an edge key only for what it returns.
+never stored.  The state keeps each fact once: the per-vertex adjacency
+index is the edge set, `matched` is the matching, and `rank_of`, `matching`
+and `elim` are views built from them on every read.  The index is unordered
+and maps each neighbor to the rank of the shared edge, so a candidate scan
+at v reads ranks and neighbors straight from the index: it hashes only
+integer vertex ids, never an edge tuple, and builds an edge key only for
+what it returns.
 One scan, `neighbors_above`, serves every caller; it costs O(deg(v)) plus
 sorting what it keeps, with an O(1) early exit when k(v) is below the
 threshold.  It can also filter on a per-vertex label of the far endpoint
@@ -74,31 +77,33 @@ EMPTY_DELTA = DeltaList((), ())
 class MatchingState:
     """Greedy maximal matching of one (graph, ranking) pair plus its indexes.
 
-    Attributes
-    ----------
-    rank_of : rank of every present edge.
-    matched : vertex -> its matching edge (absent when unmatched).
-    k : vertex -> rank of its matching edge (absent when unmatched; read
-        through `matched_rank`, which returns the sentinel for free vertices).
-    matching : the set of matched edges.
-    elim : edge -> eliminator rank, computed from k on every read.
+    Stored state, each fact once:
+
     index : vertex -> unordered dict mapping each neighbor x to the rank of
-        edge vx (the same int object `rank_of` holds).  Scans read ranks from
-        it without hashing an edge tuple.  The one candidate scan at v,
+        edge vx; the edge set itself.  Scans read ranks from it without
+        hashing an edge tuple.  The one candidate scan at v,
         `neighbors_above` (`incident` is its threshold-zero case), filters it
         in O(deg(v)), by eliminator rank and optionally by a label of the
         neighbor, and returns the edge keys it keeps sorted by (eliminator
         rank, edge), or returns in O(1) when k(v) is below the threshold.
+    matched : vertex -> its matching edge (absent when unmatched); the
+        matching itself.
+    k : vertex -> rank of its matching edge (absent when unmatched; read
+        through `matched_rank`, which returns the sentinel for free vertices).
 
-    Single-writer; `apply_insert` / `apply_delete` restore all invariants
-    before returning.
+    Read-only views, built from the stored state on every read and returned
+    as fresh copies: `rank_of` (edge -> rank, from `index`), `matching` (the
+    set of matched edges, from `matched`) and `elim` (edge -> eliminator
+    rank, from `index` and `k`).
+
+    Edge keys are (lo, hi) tuples.  Single-writer; `apply_insert` /
+    `apply_delete` restore all invariants before returning, and a rejected
+    update changes nothing.
     """
 
     def __init__(self) -> None:
-        self.rank_of: dict[EdgeKey, Rank] = {}
         self.matched: dict[int, EdgeKey] = {}
         self.k: dict[int, Rank] = {}
-        self.matching: set[EdgeKey] = set()
         self.index: dict[int, dict[int, Rank]] = {}
         self.counters = {"pops": 0, "scans": 0}
 
@@ -108,14 +113,32 @@ class MatchingState:
         return self.k.get(v, UNMATCHED_RANK)
 
     @property
+    def rank_of(self) -> dict[EdgeKey, Rank]:
+        """Edge -> rank of every present edge, each under its (lo, hi) key.
+
+        A fresh dict built from `index` on every read: O(m).
+        """
+        return {
+            (u, x): r for u, adj in self.index.items() for x, r in adj.items() if u < x
+        }
+
+    @property
+    def matching(self) -> set[EdgeKey]:
+        """The set of matched edges, a fresh set built from `matched` on
+        every read: O(|M|)."""
+        return set(self.matched.values())
+
+    @property
     def elim(self) -> dict[EdgeKey, Rank]:
-        """Edge -> eliminator rank, min(k(u), k(v))."""
+        """Edge -> eliminator rank, min(k(u), k(v)), built on every read: O(m)."""
         k = self.k
         out = {}
-        for key in self.rank_of:
-            ku = k.get(key[0], UNMATCHED_RANK)
-            kv = k.get(key[1], UNMATCHED_RANK)
-            out[key] = ku if ku < kv else kv
+        for u, adj in self.index.items():
+            ku = k.get(u, UNMATCHED_RANK)
+            for x in adj:
+                if u < x:
+                    kx = k.get(x, UNMATCHED_RANK)
+                    out[(u, x)] = ku if ku < kx else kx
         return out
 
     def incident(self, v: int) -> list[EdgeKey]:
@@ -156,36 +179,33 @@ class MatchingState:
         return [key for _, key in out]
 
     def is_maximal(self) -> bool:
+        matched = self.matched
         return all(
-            u in self.matched or v in self.matched for (u, v) in self.rank_of
+            u in matched or all(x in matched for x in adj)
+            for u, adj in self.index.items()
         )
 
     def snapshot(self) -> dict:
-        return {
-            "edges": dict(self.rank_of),
-            "matching": set(self.matching),
-            "k": dict(self.k),
-            "elim": self.elim,
-        }
+        """Edges with their ranks, the matching and k, as fresh copies.  The
+        eliminators are a function of these, so they are not repeated."""
+        return {"edges": self.rank_of, "matching": self.matching, "k": dict(self.k)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatchingState):
             return NotImplemented
         return (
-            self.rank_of == other.rank_of
-            and self.matching == other.matching
+            self.index == other.index
+            and self.matched == other.matched
             and self.k == other.k
-            and self.index == other.index
         )
 
     # -- updates ---------------------------------------------------------
 
     def apply_insert(self, key: EdgeKey, rank: Rank) -> DeltaList:
         """Insert an edge; returns exactly the matching changes it caused."""
-        if key in self.rank_of:
-            raise DuplicateEdgeError(f"edge {key} already present")
         u, v = key
-        self.rank_of[key] = rank
+        if v in self.index.get(u, ()):
+            raise DuplicateEdgeError(f"edge {key} already present")
         self._index_add(key, rank)
         k = self.k
         if k.get(u, UNMATCHED_RANK) <= rank or k.get(v, UNMATCHED_RANK) <= rank:
@@ -205,10 +225,12 @@ class MatchingState:
 
     def apply_delete(self, key: EdgeKey) -> DeltaList:
         """Delete an edge; returns exactly the matching changes it caused."""
-        if self.rank_of.pop(key, None) is None:
+        u, v = key
+        # An edge is present only under its (lo, hi) key.
+        if u > v or v not in self.index.get(u, ()):
             raise EdgeNotFoundError(f"edge {key} not present")
         self._index_remove(key)
-        if key not in self.matching:
+        if self.matched.get(u) != key:
             return EMPTY_DELTA
         self._unmatch(key)
         delta = DeltaList([key])
@@ -223,13 +245,11 @@ class MatchingState:
         self.matched[v] = key
         self.k[u] = rank
         self.k[v] = rank
-        self.matching.add(key)
 
     def _unmatch(self, key: EdgeKey) -> None:
         u, v = key
         del self.matched[u], self.matched[v]
         del self.k[u], self.k[v]
-        self.matching.remove(key)
 
     def _index_add(self, key: EdgeKey, rank: Rank) -> None:
         u, v = key
@@ -309,10 +329,8 @@ def build_static(edges: Iterable[tuple[EdgeKey, Rank]]) -> MatchingState:
     """
     state = MatchingState()
     items = sorted(edges, key=lambda item: item[1])
-    rank_of = state.rank_of
     matched = state.matched
     for key, rank in items:
-        rank_of[key] = rank
         u, v = key
         if u not in matched and v not in matched:
             state._match(key, rank)

@@ -4,18 +4,19 @@ Each suite returns a report dict with a boolean "passed"; the CLI maps that
 to the exit status.  Each check is defined here once, and the acceptance
 criteria in tests/test_acceptance.py call it:
 
-- `sparsification`, `sampling-lemma` and `partition-augmentation` at their
-  defaults are criteria 05, 07 and 08, draw for draw.
+- `sparsification`, `sampling-lemma`, `partition-augmentation` and
+  `pivot-level` at their defaults are criteria 05, 07, 08 and 09, draw for
+  draw.
 - `run_equivalence_stream`, behind `equivalence`, `level-stability` and
   `final-approx`, also feeds criteria 02, 03, 04 (the pipeline half) and 11,
   at n=64 over L in {2, 3} with their own seeds.
-- `pivot-level` checks the inequalities of criterion 09 on its own draws.
 
 Criteria 01, 04's n=500 half, 06 and 10 have no suite.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
 import random
 from collections import defaultdict
@@ -118,21 +119,17 @@ def run_equivalence_stream(
     for ev in events:
         before = None
         if check_stability:
-            before = {
-                i: (dict(ls.state.rank_of), set(ls.state.matching))
-                for i, ls in pipe.levels.items()
-            }
+            before = {i: copy.deepcopy(ls.state) for i, ls in pipe.levels.items()}
         report = pipe.handle_update(ev.op, ev.u, ev.v)
         ref = static_reference(inst.records.values(), inst.tapes, config)
         if pipe.snapshot() != ref:
             counts["mismatches"] += 1
         if check_stability and report.trigger_level is not None:
             for i in range(report.trigger_level + 1, levels + 1):
-                state = pipe.levels[i].state
-                if before[i] != (dict(state.rank_of), set(state.matching)):
+                if before[i] != pipe.levels[i].state:
                     counts["stability_violations"] += 1
         if check_final:
-            m0 = len(pipe.base.matching)
+            m0 = len(pipe.base.matched) // 2
             answer = pipe.union.size()
             union_edges = pipe.union.edges()
             mu_union = max_matching_exact(n, union_edges).size

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -89,6 +90,9 @@ class TestBipartiteFastPath:
 
 class TestIncremental:
     def test_tracks_scratch_over_random_churn(self):
+        # inserts by number of free endpoints: 0 searches every free root,
+        # 1 searches from the free endpoint only, 2 matches directly
+        free_ends = Counter()
         rng = random.Random(31)
         for _ in range(15):
             n = rng.randint(4, 16)
@@ -104,7 +108,9 @@ class TestIncremental:
                     if u == v or edge_key(u, v) in edges:
                         continue
                     edges.add(edge_key(u, v))
+                    free_ends[(inc.match[u] == -1) + (inc.match[v] == -1)] += 1
                     inc.insert(u, v)
                 assert inc.size == max_matching_exact(n, edges).size
                 witness = inc.matching()
                 assert len(witness) == inc.size
+        assert all(free_ends[c] for c in (0, 1, 2)), free_ends

@@ -299,19 +299,25 @@ class TestRebuild:
         assert checked > 0
 
 
-    def test_level_graphs_share_the_record_key(self):
-        # a live edge is keyed by one tuple object in every layer: the level
-        # graphs hold the record's key, not a key rebuilt by a scan
-        events = generate_stream(
-            StreamSpec("erdos-churn", 200, 16, 2000, 75, {"target_edges": 800})
-        )
-        inst, pipe = fresh(n=200, delta=16, levels=3, seed=76, sample_p=0.12)
+    def test_views_are_fresh_copies(self):
+        # rank_of and matching are built on every read: mutating what they
+        # return changes neither snapshot() nor the next update's deltas
+        events = generate_stream(StreamSpec("erdos-churn", 24, 8, 300, 75))
+        _, pipe = fresh(n=24, delta=8, levels=2, seed=76, sample_p=0.12)
+        _, twin = fresh(n=24, delta=8, levels=2, seed=76, sample_p=0.12)
+        level_edges = 0
         for ev in events:
-            pipe.handle_update(ev.op, ev.u, ev.v)
-        level_keys = [k for ls in pipe.levels.values() for k in ls.state.rank_of]
-        assert level_keys
-        for key in level_keys:
-            assert key is inst.records[key].key
+            for state in [pipe.base, *(ls.state for ls in pipe.levels.values())]:
+                state.rank_of.clear()
+                state.matching.clear()
+            assert pipe.snapshot() == twin.snapshot()
+            got = pipe.handle_update(ev.op, ev.u, ev.v)
+            want = twin.handle_update(ev.op, ev.u, ev.v)
+            assert (got.base_delta, got.level_deltas, got.answer_delta) == (
+                want.base_delta, want.level_deltas, want.answer_delta
+            )
+            level_edges += sum(len(ls.state.rank_of) for ls in pipe.levels.values())
+        assert level_edges
 
 
 class TestStreamEquivalence:

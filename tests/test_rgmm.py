@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -63,8 +64,10 @@ class TestApplyInsert:
     def test_duplicate_insert_rejected(self):
         st_ = MatchingState()
         st_.apply_insert((1, 2), rank_at(0.2))
+        before = copy.deepcopy(st_)
         with pytest.raises(DuplicateEdgeError):
             st_.apply_insert((1, 2), rank_at(0.3))
+        assert st_ == before
 
     def test_higher_rank_edge_rejected_without_delta(self):
         st_ = MatchingState()
@@ -95,6 +98,24 @@ class TestApplyDelete:
         st_ = MatchingState()
         with pytest.raises(EdgeNotFoundError):
             st_.apply_delete((1, 2))
+        assert st_ == MatchingState()
+        # both endpoints are indexed, the edge between them is not
+        st_ = build_static(ranked((0, 1, 0.1), (1, 2, 0.2)))
+        before = copy.deepcopy(st_)
+        with pytest.raises(EdgeNotFoundError):
+            st_.apply_delete((0, 2))
+        assert st_ == before
+
+    @pytest.mark.parametrize("key", [(1, 2), (2, 3)])
+    def test_delete_under_reversed_key_rejected(self, key):
+        # an edge is present only under its (lo, hi) key; (1, 2) is matched
+        # and (2, 3) is not
+        st_ = build_static(ranked((1, 2, 0.2), (2, 3, 0.5)))
+        assert st_.matching == {(1, 2)}
+        before = copy.deepcopy(st_)
+        with pytest.raises(EdgeNotFoundError):
+            st_.apply_delete(key[::-1])
+        assert st_ == before
 
     def test_cascade_along_path(self):
         # path 1-2-3-4 ranked 0.1, 0.2, 0.3: matching {(1,2),(3,4)}
@@ -308,19 +329,23 @@ class TestOracleEquivalence:
 
 
 class TestInvariants:
+    @staticmethod
+    def _views(st_):
+        return {"elim": st_.elim, "matching": st_.matching}
+
     def _churn(self, seed, n=10, steps=150):
         rng = random.Random(seed)
         st_ = MatchingState()
         history = []
         for op, key, rank in random_stream(rng, n, steps):
-            before = st_.snapshot()
+            before = self._views(st_)
             if op == "ins":
                 st_.apply_insert(key, rank)
                 update_rank = rank
             else:
                 update_rank = st_.rank_of[key]
                 st_.apply_delete(key)
-            history.append((before, st_.snapshot(), update_rank))
+            history.append((before, self._views(st_), update_rank))
         return st_, history
 
     def test_maximality(self):
