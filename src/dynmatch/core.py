@@ -181,10 +181,6 @@ class Instance:
     def levels(self) -> int:
         return self.config.levels
 
-    def partition(self, v: int, level: int) -> int:
-        """Level-`level` partition coin of vertex v (0 = A, 1 = B)."""
-        return self.tapes[v][level - 1]
-
     def level_of_rank(self, rank: Rank) -> int:
         return level_of_rank(rank, self.thresholds)
 

@@ -27,6 +27,13 @@ search returns the same [u, v], but without the fast path perfbench's
 sparse-levels ran about 8% fewer updates/s and set up about 15% slower
 (2-vCPU shared VM, 4 of 4 alternating pairs).
 
+`add` and `remove` write the answer's changes in place, into the caller's
+delta: the pipeline passes one `DeltaList` per update, so an update's answer
+delta is built in operation order with no delta per call and no `extend`.
+A call returns that delta when it changed the answer and the shared
+`EMPTY_DELTA` when it did not, so `bool(result)` says whether this call
+moved the answer, whatever earlier calls wrote into the delta.
+
 The matcher keeps four structures:
 - `mult`: each union edge with its multiplicity (how many of M_0..M_L hold it);
 - `adj`: each vertex's neighbours in the union graph;
@@ -91,9 +98,10 @@ class UnionMatcher:
 
     # -- updates ---------------------------------------------------------
 
-    def add(self, key: EdgeKey) -> DeltaList:
-        """An edge joined one of the maintained matchings; returns the answer's
-        changes, `EMPTY_DELTA` when it has none."""
+    def add(self, key: EdgeKey, out: DeltaList) -> DeltaList:
+        """An edge joined one of the maintained matchings.  The answer's
+        changes are appended to `out`, which is returned; `EMPTY_DELTA` when
+        this call changed nothing."""
         count = self.mult.get(key, 0)
         self.mult[key] = count + 1
         if count:
@@ -109,17 +117,18 @@ class UnionMatcher:
             mate[u] = v
             mate[v] = u
             self.answer.add(key)
-            return DeltaList([], [key])
+            out.joined.append(key)
+            return out
         path = self._shortest_through(key)
         if path is None:
             return EMPTY_DELTA
-        delta = DeltaList()
-        self._flip(path, delta)
-        return delta
+        self._flip(path, out)
+        return out
 
-    def remove(self, key: EdgeKey) -> DeltaList:
-        """An edge left one of the maintained matchings; returns the answer's
-        changes, `EMPTY_DELTA` when it has none."""
+    def remove(self, key: EdgeKey, out: DeltaList) -> DeltaList:
+        """An edge left one of the maintained matchings.  The answer's
+        changes are appended to `out`, which is returned; `EMPTY_DELTA` when
+        this call changed nothing."""
         count = self.mult.get(key, 0)
         if count == 0:
             raise ConsistencyError(f"union multiplicity underflow for {key}")
@@ -134,9 +143,9 @@ class UnionMatcher:
             return EMPTY_DELTA
         del self.mate[u], self.mate[v]
         self.answer.remove(key)
-        delta = DeltaList([key])
-        self._repair([u, v], delta)
-        return delta
+        out.left.append(key)
+        self._repair([u, v], out)
+        return out
 
     # -- internals -------------------------------------------------------
 

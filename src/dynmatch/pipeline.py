@@ -10,14 +10,18 @@ One edge update runs four steps in order:
 2. recompute the roles of every vertex whose base match status changed.  A
    vertex's role at each level is a pure function of its match level (the
    level of its M_0 edge, 0 when unmatched) and that edge: absent below the
-   match level, U side above it.  So only the levels between the old and the
-   new match level are recomputed;
+   match level, the U side of its tape's partition coin above it, and at the
+   match level the V side of its end of the edge if the edge's record
+   sampled it there, else absent.  So only the levels between the old and
+   the new match level are recomputed, in one loop per vertex;
 3. replay role changes onto the level graphs: departing vertices drop their
-   incident level edges, arriving vertices scan the base eliminator index
-   above the trigger threshold for neighbors holding the partner role --
-   levels deeper than the trigger are provably untouched;
-4. forward every matching delta into the union matcher.  Most updates move
-   no matching edge at all (the updated edge is neither in M_0 nor in a level
+   incident level edges (a vertex with no edge in G_i is skipped without a
+   scan), arriving vertices scan the base eliminator index above the trigger
+   threshold for neighbors holding the partner role -- levels deeper than
+   the trigger are provably untouched;
+4. forward every matching delta into the union matcher, which appends the
+   answer's changes to the update's one answer delta.  Most updates move no
+   matching edge at all (the updated edge is neither in M_0 nor in a level
    matching), so step 4 runs only when the base delta or some level delta is
    non-empty; otherwise the answer delta is the shared `EMPTY_DELTA`.
 
@@ -30,10 +34,11 @@ non-empty base delta: r is the lowest rank the update touches.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import EdgeKey, Instance, Rank
+from .core import EdgeKey, Instance, Rank, level_of_rank
 from .errors import UnknownOpError
 from .finalmatch import UnionMatcher
 from .rgmm import EMPTY_DELTA, DeltaList, MatchingState
@@ -61,6 +66,10 @@ _PARTNER = {
     Role.V_B: Role.U_B,
     Role.U_B: Role.V_B,
 }
+
+#: The U-side role of a vertex at level i, indexed by its partition coin
+#: tapes[v][i-1] (0 = A, 1 = B).
+_U_SIDE = (Role.U_A, Role.U_B)
 
 RoleDeltas = dict[int, list[tuple[int, Role, Role]]]
 
@@ -113,10 +122,7 @@ class Pipeline:
         # On the empty graph every vertex is unmatched, hence on the U side
         # of every level, split by its partition coin.
         self.role: dict[int, list[Role]] = {
-            i: [
-                Role.U_A if instance.partition(v, i) == 0 else Role.U_B
-                for v in range(instance.n)
-            ]
+            i: [_U_SIDE[tape[i - 1]] for tape in instance.tapes]
             for i in range(1, instance.levels + 1)
         }
         #: Per vertex: 0 when unmatched in M_0, else the level of its M_0 edge.
@@ -188,16 +194,14 @@ class Pipeline:
                     d = state.apply_insert(key, record.ranks[i])
                 else:
                     d = state.apply_delete(key)
-                self._log_level_delta(level_deltas, i, d)
+                if d is not EMPTY_DELTA:
+                    level_deltas.append((i, d))
         else:
             # Step 2: roles of every endpoint the base delta touched.
-            changed: set[int] = set()
-            for moved in (base_delta.left, base_delta.joined):
-                for a, b in moved:
-                    changed.add(a)
-                    changed.add(b)
+            changed = set(chain.from_iterable(base_delta.left))
+            changed.update(chain.from_iterable(base_delta.joined))
             role_deltas = self.update_roles(changed)
-            role_changes = sum(len(v) for v in role_deltas.values())
+            role_changes = sum(map(len, role_deltas.values()))
             # Step 3: level graph memberships, pruned by the trigger level,
             # the level of the updated edge's base rank (module docstring).
             trigger = self.inst.level_of_rank(record.ranks[0])
@@ -209,12 +213,16 @@ class Pipeline:
         if base_delta is EMPTY_DELTA and not level_deltas:
             answer_delta = EMPTY_DELTA
         else:
+            # The union writes its changes straight into the answer delta.
+            # Positional `out`: perfbench's tracer forwards positional
+            # arguments only.
             answer_delta = DeltaList()
+            remove, add = self.union.remove, self.union.add
             for _, delta in [(0, base_delta), *level_deltas]:
                 for k_ in delta.left:
-                    answer_delta.extend(self.union.remove(k_))
+                    remove(k_, answer_delta)
                 for k_ in delta.joined:
-                    answer_delta.extend(self.union.add(k_))
+                    add(k_, answer_delta)
 
         # Built positionally: on this per-update path a keyword call costs
         # more than the dataclass construction itself.
@@ -236,15 +244,35 @@ class Pipeline:
         """
         deltas: RoleDeltas = {}
         match_level = self.match_level
+        matched = self.base.matched
+        k = self.base.k
+        thresholds = self.inst.thresholds
+        tapes = self.inst.tapes
+        records = self.inst.records
+        role = self.role
+        absent = Role.ABSENT
         for v in sorted(changed):
             was = match_level[v]
-            lv = self._match_level(v)
+            key = matched.get(v)
+            lv = 0 if key is None else level_of_rank(k[v], thresholds)
             match_level[v] = lv
-            for i in range(max(1, min(was, lv)), max(was, lv) + 1):
-                new = self._role_for(v, i, lv)
-                old = self.role[i][v]
+            tape = tapes[v]
+            # Written without min/max: their generic calls cost more than
+            # the rest of this loop's set-up.
+            lo, hi = (was, lv) if was < lv else (lv, was)
+            for i in range(lo or 1, hi + 1):
+                if i > lv:
+                    new = _U_SIDE[tape[i - 1]]
+                elif i < lv or not records[key].sampled[i - 1]:
+                    new = absent
+                elif v == key[0]:
+                    new = Role.V_A
+                else:
+                    new = Role.V_B
+                row = role[i]
+                old = row[v]
                 if new is not old:
-                    self.role[i][v] = new
+                    row[v] = new
                     deltas.setdefault(i, []).append((v, old, new))
         return deltas
 
@@ -259,56 +287,43 @@ class Pipeline:
         `level_deltas`; returns the number of candidates probed, the edges
         the role-filtered scans returned."""
         probes = 0
-        for i in sorted(role_deltas):
-            ls = self.levels[i]
+        absent = Role.ABSENT
+        levels = sorted(role_deltas)
+        for i in levels:
+            state = self.levels[i].state
+            index = state.index
             for v, old, new in role_deltas[i]:
-                if old is Role.ABSENT:
+                # A vertex with no edge in G_i has nothing to drop: `incident`
+                # would return [] before counting any scan.
+                if old is absent or v not in index:
                     continue
-                for key in ls.state.incident(v):
-                    self._log_level_delta(level_deltas, i, ls.state.apply_delete(key))
-        for i in sorted(role_deltas):
-            ls = self.levels[i]
-            index = ls.state.index
+                for key in state.incident(v):
+                    d = state.apply_delete(key)
+                    if d is not EMPTY_DELTA:
+                        level_deltas.append((i, d))
+        records = self.inst.records
+        neighbors_above = self.base.neighbors_above
+        for i in levels:
+            state = self.levels[i].state
+            index = state.index
             role = self.role[i]
             for v, old, new in role_deltas[i]:
-                if new is Role.ABSENT:
+                if new is absent:
                     continue
                 # Roles are final for this update, so filtering on the
                 # partner role inside the scan admits what the level filter
                 # would, in the same order.
-                candidates = self.base.neighbors_above(v, alpha, role, _PARTNER[new])
+                candidates = neighbors_above(v, alpha, role, _PARTNER[new])
                 probes += len(candidates)
                 for key in candidates:
                     if key[1] not in index.get(key[0], ()):
-                        rec = self.inst.records[key]
-                        d = ls.state.apply_insert(rec.key, rec.ranks[i])
-                        self._log_level_delta(level_deltas, i, d)
+                        rec = records[key]
+                        d = state.apply_insert(rec.key, rec.ranks[i])
+                        if d is not EMPTY_DELTA:
+                            level_deltas.append((i, d))
         return probes
 
     # -- internals -------------------------------------------------------
-
-    @staticmethod
-    def _log_level_delta(
-        level_deltas: list[tuple[int, DeltaList]], i: int, d: DeltaList
-    ) -> None:
-        if d is not EMPTY_DELTA:
-            level_deltas.append((i, d))
-
-    def _match_level(self, v: int) -> int:
-        """0 when v is unmatched in M_0, else the level of its matched edge."""
-        if v not in self.base.matched:
-            return 0
-        return self.inst.level_of_rank(self.base.k[v])
-
-    def _role_for(self, v: int, i: int, lv: int) -> Role:
-        if lv < i:
-            return Role.U_A if self.inst.partition(v, i) == 0 else Role.U_B
-        if lv > i:
-            return Role.ABSENT
-        key = self.base.matched[v]
-        if not self.inst.records[key].sampled[i - 1]:
-            return Role.ABSENT
-        return Role.V_A if v == key[0] else Role.V_B
 
     def _membership_level(self, key: EdgeKey) -> int | None:
         """The unique level graph the edge belongs to under current roles.

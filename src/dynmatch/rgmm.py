@@ -51,8 +51,8 @@ class DeltaList:
     instead of a fresh empty delta: `apply_insert` / `apply_delete` and
     `UnionMatcher.add` / `remove` return it exactly when the matching did not
     change, so callers test `delta is EMPTY_DELTA`.  Its fields are empty
-    tuples, so an `append` or `extend` on it raises rather than corrupting
-    every later no-op.
+    tuples, so an `append` on it raises rather than corrupting every later
+    no-op.
     """
 
     left: list[EdgeKey] = field(default_factory=list)
@@ -64,10 +64,6 @@ class DeltaList:
     def size(self) -> int:
         """Adjustment complexity: number of matching edges changed."""
         return len(self.left) + len(self.joined)
-
-    def extend(self, other: "DeltaList") -> None:
-        self.left.extend(other.left)
-        self.joined.extend(other.joined)
 
 
 #: The one delta of every operation that changed nothing (see `DeltaList`).

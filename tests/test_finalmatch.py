@@ -9,7 +9,7 @@ from dynmatch.errors import ConsistencyError
 from dynmatch.exact import max_matching_exact
 from dynmatch.finalmatch import UnionMatcher
 from dynmatch.pipeline import Pipeline
-from dynmatch.rgmm import EMPTY_DELTA
+from dynmatch.rgmm import EMPTY_DELTA, DeltaList
 from dynmatch.streams import StreamSpec, generate_stream
 from dynmatch.suites import has_short_augmenting_path
 
@@ -17,42 +17,42 @@ from dynmatch.suites import has_short_augmenting_path
 class TestBasics:
     def test_first_edge_is_matched(self):
         um = UnionMatcher(depth=3)
-        d = um.add((1, 2))
+        d = um.add((1, 2), DeltaList())
         assert d.joined == [(1, 2)]
         assert um.matching() == {(1, 2)}
 
     def test_two_path_replacement(self):
         # matched edge disappears; the local search finds the replacement
         um = UnionMatcher(depth=3)
-        um.add((0, 1))
-        um.add((1, 2))
+        um.add((0, 1), DeltaList())
+        um.add((1, 2), DeltaList())
         assert um.matching() == {(0, 1)}
-        d = um.remove((0, 1))
+        d = um.remove((0, 1), DeltaList())
         assert (0, 1) in d.left
         assert um.matching() == {(1, 2)}
 
     def test_multiplicity_keeps_edge_until_last_copy(self):
         um = UnionMatcher(depth=2)
-        um.add((0, 1))
-        um.add((0, 1))
-        d = um.remove((0, 1))
+        um.add((0, 1), DeltaList())
+        um.add((0, 1), DeltaList())
+        d = um.remove((0, 1), DeltaList())
         assert d is EMPTY_DELTA
         assert um.matching() == {(0, 1)}
-        d = um.remove((0, 1))
+        d = um.remove((0, 1), DeltaList())
         assert d.left == [(0, 1)]
         assert um.matching() == set()
 
     def test_underflow_signals_pipeline_bug(self):
         um = UnionMatcher(depth=2)
         with pytest.raises(ConsistencyError):
-            um.remove((0, 1))
+            um.remove((0, 1), DeltaList())
 
     def test_insert_joins_via_augmenting_path(self):
         # 0-1 matched; adding 1-2 then 2-3 must grow the matching to 2
         um = UnionMatcher(depth=3)
-        um.add((0, 1))
-        um.add((1, 2))
-        um.add((2, 3))
+        um.add((0, 1), DeltaList())
+        um.add((1, 2), DeltaList())
+        um.add((2, 3), DeltaList())
         assert um.size() == 2
 
 
@@ -103,7 +103,7 @@ class TestContractUnderChurn:
                 edges.remove(key)
                 deg[key[0]] -= 1
                 deg[key[1]] -= 1
-                um.remove(key)
+                um.remove(key, DeltaList())
             else:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u == v:
@@ -114,7 +114,7 @@ class TestContractUnderChurn:
                 edges.add(key)
                 deg[key[0]] += 1
                 deg[key[1]] += 1
-                um.add(key)
+                um.add(key, DeltaList())
             checked += 1
             assert um.answer == answer_from_mate(um)
             answer = um.matching()
@@ -156,12 +156,28 @@ class TestContractUnderChurn:
                 mult[key] = mult.get(key, 0) + 1
                 call = um.add
             before = um.matching()
-            d = call(key)
+            d = call(key, DeltaList())
             changed = um.matching() != before
             assert bool(d) == changed
             assert (d is EMPTY_DELTA) == (not changed)
             seen["changed" if changed else "unchanged"] += 1
         assert all(seen.values()), seen
+
+    def test_calls_write_into_the_callers_delta(self):
+        # one update's union calls share its answer delta: a call that moves
+        # the answer appends to `out` and returns it, and a later call that
+        # moves nothing returns EMPTY_DELTA and leaves `out` as it was
+        um = UnionMatcher(depth=2)
+        out = DeltaList()
+        assert um.add((0, 1), out) is out
+        assert um.add((1, 2), out) is EMPTY_DELTA  # 2's only path is blocked
+        assert um.remove((0, 1), out) is out  # the repair matches 1-2
+        assert (out.left, out.joined) == ([(0, 1)], [(0, 1), (1, 2)])
+        assert um.add((0, 1), out) is EMPTY_DELTA
+        um.add((1, 2), DeltaList())  # a second copy of the answer edge
+        assert um.remove((1, 2), out) is EMPTY_DELTA
+        assert (out.left, out.joined) == ([(0, 1)], [(0, 1), (1, 2)])
+        assert um.matching() == {(1, 2)}
 
     def test_deterministic_given_same_updates(self):
         ops = []
@@ -185,7 +201,7 @@ class TestContractUnderChurn:
         for _ in range(2):
             um = UnionMatcher(depth=3)
             for op, key in ops:
-                um.add(key) if op == "ins" else um.remove(key)
+                (um.add if op == "ins" else um.remove)(key, DeltaList())
             outs.append(um.matching())
         assert outs[0] == outs[1]
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dynmatch.core import Instance, InstanceConfig
+from dynmatch.core import Instance, InstanceConfig, level_of_rank
 from dynmatch.errors import (
     CapacityError,
     ConfigError,
@@ -211,7 +211,7 @@ class TestRoles:
         inst, pipe = fresh(n=4, delta=4, levels=3, seed=1)
         for i in range(1, 4):
             for v in range(4):
-                want = Role.U_A if inst.partition(v, i) == 0 else Role.U_B
+                want = Role.U_A if inst.tapes[v][i - 1] == 0 else Role.U_B
                 assert pipe.role[i][v] is want
 
     def _forced_instance(self, sampled, level, levels=3):
@@ -231,7 +231,7 @@ class TestRoles:
         inst, pipe = self._forced_instance(sampled=False, level=2)
         assert pipe.role[1][0] is Role.ABSENT
         assert pipe.role[2][0] is Role.ABSENT
-        want = Role.U_A if inst.partition(0, 3) == 0 else Role.U_B
+        want = Role.U_A if inst.tapes[0][2] == 0 else Role.U_B
         assert pipe.role[3][0] is want
 
     def test_sampled_match_takes_v_side_by_id(self):
@@ -240,24 +240,30 @@ class TestRoles:
         assert pipe.role[1][1] is Role.V_B
         for i in (2, 3):
             for v in (0, 1):
-                want = Role.U_A if inst.partition(v, i) == 0 else Role.U_B
+                want = Role.U_A if inst.tapes[v][i - 1] == 0 else Role.U_B
                 assert pipe.role[i][v] is want
 
     def test_role_determinism_against_recompute(self):
-        # after every update: the maintained match levels, every role and the
-        # O(1) membership level agree with full recomputes
+        # after every update: every role equals the static reference's, the
+        # maintained match levels equal the level of each vertex's M_0 rank,
+        # and the O(1) membership level agrees with the level filter
         n, levels = 60, 4
         inst, pipe = fresh(n=n, delta=12, levels=levels, seed=3, sample_p=0.12)
         events = generate_stream(StreamSpec("erdos-churn", n, 12, 600, 9))
         v_roles = admitted = 0
         for ev in events:
             pipe.handle_update(ev.op, ev.u, ev.v)
-            for v in range(n):
-                assert pipe.match_level[v] == pipe._match_level(v)
-                for i in range(1, levels + 1):
-                    want = pipe._role_for(v, i, pipe._match_level(v))
-                    assert pipe.role[i][v] is want
-                    v_roles += want in (Role.V_A, Role.V_B)
+            want = static_reference(inst.records.values(), inst.tapes, inst.config)
+            assert {i: tuple(row) for i, row in pipe.role.items()} == want["roles"]
+            v_roles += sum(
+                role in (Role.V_A, Role.V_B)
+                for row in want["roles"].values() for role in row
+            )
+            k = pipe.base.k
+            assert pipe.match_level == [
+                level_of_rank(k[v], inst.thresholds) if v in k else 0
+                for v in range(n)
+            ]
             for key in inst.records:
                 admitting = [
                     i for i in range(1, levels + 1)

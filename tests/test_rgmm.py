@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dynmatch.core import UNMATCHED_RANK, edge_key, make_rank
 from dynmatch.errors import DuplicateEdgeError, EdgeNotFoundError
-from dynmatch.rgmm import EMPTY_DELTA, DeltaList, MatchingState, build_static
+from dynmatch.rgmm import EMPTY_DELTA, MatchingState, build_static
 
 from helpers import random_stream, rank_at, unpack_rank
 
@@ -136,8 +136,6 @@ class TestEmptyDelta:
             EMPTY_DELTA.left.append((0, 1))
         with pytest.raises(AttributeError):
             EMPTY_DELTA.joined.append((0, 1))
-        with pytest.raises(AttributeError):
-            EMPTY_DELTA.extend(DeltaList([(0, 1)], [(2, 3)]))
         assert EMPTY_DELTA.left == () and EMPTY_DELTA.joined == ()
         assert not EMPTY_DELTA and EMPTY_DELTA.size() == 0
 

@@ -44,6 +44,9 @@ def test_every_wrapped_span_records_calls(monkeypatch):
     for name in tracer.names:
         assert summary[f"{name}.calls"][0] > 0, name
     assert summary["rgmm.base.neighbors_above.rows"][0] > 0
+    # union calls share the update's answer delta, yet only the calls that
+    # changed the answer count as effective
+    assert 0 < summary["finalmatch.effective_share"][0] < 1
     # detach restored the engine's own methods
     assert "handle_update" not in vars(pipe)
     assert "neighbors_above" not in vars(pipe.base)
