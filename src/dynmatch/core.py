@@ -16,6 +16,7 @@ n <= 2^32 - 1 (`MAX_VERTICES`).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -79,16 +80,22 @@ def thresholds_for(delta_cap: int, levels: int) -> list[Rank]:
     return [threshold_rank(delta_cap ** (-i / levels)) for i in range(levels + 1)]
 
 
+def level_bounds(thresholds: list[Rank]) -> list[Rank]:
+    """The inner level boundaries t_{L-1} < ... < t_1, ascending.
+
+    `L - bisect_left(level_bounds(t), rank)` is `level_of_rank(rank, t)`:
+    the bisect counts the boundaries strictly below `rank`, and a rank equal
+    to a boundary falls below it, as the half-open intervals require.
+    """
+    return thresholds[-2:0:-1]
+
+
 def level_of_rank(rank: Rank, thresholds: list[Rank]) -> int:
     """Level index in [1..L] whose rank interval contains `rank`.
 
     Level i < L owns (t_i, t_{i-1}]; level L owns [0, t_{L-1}].
     """
-    levels = len(thresholds) - 1
-    for i in range(1, levels):
-        if rank > thresholds[i]:
-            return i
-    return levels
+    return len(thresholds) - 1 - bisect_left(level_bounds(thresholds), rank)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,6 +165,8 @@ class Instance:
         config.validate()
         self.config = config
         self.thresholds = thresholds_for(config.delta_cap, config.levels)
+        #: `level_bounds(thresholds)`, kept for the per-update level lookups.
+        self.bounds = level_bounds(self.thresholds)
         self._rng = random.Random(config.algo_seed)
         # Vertex tapes are static, so they are drawn up front in index order:
         # tapes[v][i-1] is the level-i partition coin (0 = A, 1 = B).
@@ -182,7 +191,8 @@ class Instance:
         return self.config.levels
 
     def level_of_rank(self, rank: Rank) -> int:
-        return level_of_rank(rank, self.thresholds)
+        """`level_of_rank(rank, self.thresholds)`, by bisecting `bounds`."""
+        return self.config.levels - bisect_left(self.bounds, rank)
 
     def alpha_for_level(self, level: int) -> Rank:
         """Lower rank bound of partition S_level (zero for the last level)."""

@@ -14,16 +14,25 @@ methods that take their search state as arguments rather than closures over
 it, so a search leaves no reference cycle behind: everything it allocates is
 freed by reference counting, not by the cyclic garbage collector.
 
-Inserts and repairs share one path enumerator, `_grow_halves`.  A repair
-from a free vertex s takes, over s's neighbours x in sorted order, the first
-strictly shortest `_shortest_through((s, x))`: the only half at s is [s], the
-disjointness test drops exactly the paths that revisit s, and the stable sort
-by length keeps the sorted-neighbour preorder, so this is the path an
-iterative-deepening search from s finds first.  The path starts at s, which
-fixes `_flip`'s delta order and `_free_ball`'s seed order.
+Inserts and repairs share one path enumerator, `_grow_halves`.  A half is
+a vertex tuple copied from the one path list the enumeration extends and
+backtracks; that list is also the visited test (`x in path`, at most 2k
+vertices), so no visited set is kept or copied per half.  Halves are sorted
+by length, stably, so preorder breaks ties.  Two halves join when they share
+no vertex: the u-half's vertex set is built once, lazily, and tested against
+each v-half with `isdisjoint`.  When one end of the edge is free its only
+half is that end, so the paths are the other end's halves grown behind it,
+and the prefix does the disjointness test's work.
+
+A repair from a free vertex s takes, over s's neighbours x in sorted order,
+the first strictly shortest `_shortest_through((s, x))`: the only half at s
+is (s,), the prefix drops exactly the paths that revisit s, and the stable
+choice of the first shortest keeps the sorted-neighbour preorder, so this is
+the path an iterative-deepening search from s finds first.  The path starts
+at s, which fixes `_flip`'s delta order and `_free_ball`'s seed order.
 
 `add` keeps a fast path for an edge between two free vertices.  The general
-search returns the same [u, v], but without the fast path perfbench's
+search returns the same (u, v), but without the fast path perfbench's
 sparse-levels ran about 8% fewer updates/s and set up about 15% slower
 (2-vCPU shared VM, 4 of 4 alternating pairs).
 
@@ -107,8 +116,17 @@ class UnionMatcher:
         if count:
             return EMPTY_DELTA  # already present in the union graph
         u, v = key
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
+        adj = self.adj
+        nbrs = adj.get(u)
+        if nbrs is None:
+            adj[u] = {v}
+        else:
+            nbrs.add(v)
+        nbrs = adj.get(v)
+        if nbrs is None:
+            adj[v] = {u}
+        else:
+            nbrs.add(u)
         mate = self.mate
         if u not in mate and v not in mate:
             # Maximality held before, so matching the edge cannot open any
@@ -137,8 +155,15 @@ class UnionMatcher:
             return EMPTY_DELTA
         del self.mult[key]
         u, v = key
-        self._drop_adj(u, v)
-        self._drop_adj(v, u)
+        adj = self.adj
+        nbrs = adj[u]
+        nbrs.discard(v)
+        if not nbrs:
+            del adj[u]
+        nbrs = adj[v]
+        nbrs.discard(u)
+        if not nbrs:
+            del adj[v]
         if self.mate.get(u) != v:
             return EMPTY_DELTA
         del self.mate[u], self.mate[v]
@@ -149,14 +174,8 @@ class UnionMatcher:
 
     # -- internals -------------------------------------------------------
 
-    def _drop_adj(self, a: int, b: int) -> None:
-        nbrs = self.adj[a]
-        nbrs.discard(b)
-        if not nbrs:
-            del self.adj[a]
-
-    def _flip(self, path: list[int], delta: DeltaList) -> None:
-        """Augment along a path given as a vertex list (odd edge count)."""
+    def _flip(self, path: tuple[int, ...], delta: DeltaList) -> None:
+        """Augment along a path given as a vertex tuple (odd edge count)."""
         mate = self.mate
         answer = self.answer
         for i in range(1, len(path) - 1, 2):
@@ -180,10 +199,11 @@ class UnionMatcher:
         endpoints lie within 2k hops of it; reseeding that ball until nothing
         is found restores the invariant globally.
         """
+        mate, adj = self.mate, self.adj
         queue = deque(seeds)
         while queue:
             s = queue.popleft()
-            if s in self.mate or s not in self.adj:
+            if s in mate or s not in adj:
                 continue
             path = self._shortest_from(s)
             if path is None:
@@ -191,40 +211,41 @@ class UnionMatcher:
             self._flip(path, delta)
             queue.extend(self._free_ball(path))
 
-    def _free_ball(self, path: list[int]) -> list[int]:
-        radius = 2 * self.depth
+    def _free_ball(self, path: tuple[int, ...]) -> list[int]:
+        mate, adj = self.mate, self.adj
         seen = set(path)
-        frontier = list(path)
-        free = [v for v in path if v not in self.mate]
-        for _ in range(radius):
+        frontier = path
+        free = [v for v in path if v not in mate]
+        for _ in range(2 * self.depth):
             nxt = []
             for v in frontier:
-                for x in self.adj.get(v, ()):
+                for x in adj.get(v, ()):
                     if x not in seen:
                         seen.add(x)
                         nxt.append(x)
-                        if x not in self.mate:
+                        if x not in mate:
                             free.append(x)
             frontier = nxt
             if not frontier:
                 break
         return free
 
-    def _shortest_from(self, s: int) -> list[int] | None:
+    def _shortest_from(self, s: int) -> tuple[int, ...] | None:
         """Shortest augmenting path from free vertex s, up to 2k - 1 edges;
         ties go to the first neighbour in sorted order."""
-        best: list[int] | None = None
+        best: tuple[int, ...] | None = None
         for x in sorted(self.adj[s]):
             path = self._shortest_through((s, x))
             if path is not None and (best is None or len(path) < len(best)):
                 best = path
         return best
 
-    def _halves(self, v: int, budget: int) -> list[tuple[list[int], frozenset[int]]]:
+    def _halves(self, v: int, budget: int) -> list[tuple[int, ...]]:
         """Even alternating paths leaving v through its matched edge and ending
-        free; the zero-length half exists when v itself is free."""
-        out: list[tuple[list[int], frozenset[int]]] = []
-        self._grow_halves(v, budget, [v], {v}, out)
+        free, each a vertex tuple from v, in the search's preorder; the
+        zero-length half `(v,)` exists when v itself is free."""
+        out: list[tuple[int, ...]] = []
+        self._grow_halves(v, budget, [v], out)
         return out
 
     def _grow_halves(
@@ -232,49 +253,68 @@ class UnionMatcher:
         w: int,
         remaining: int,
         path: list[int],
-        visited: set[int],
-        out: list[tuple[list[int], frozenset[int]]],
+        out: list[tuple[int, ...]],
     ) -> None:
+        """Extend the simple path `path`, which ends at w, two hops at a time
+        (matched edge, then unmatched), appending a tuple copy of every
+        extension that ends free.  A path holds at most 2k vertices, so
+        `x in path` is the visited test: no visited set is kept or copied."""
         partner = self.mate.get(w)
         if partner is None:
-            out.append((list(path), frozenset(visited)))
+            out.append(tuple(path))
             return
-        if remaining < 2 or partner in visited:
+        if remaining < 2 or partner in path:
             return
-        visited.add(partner)
         path.append(partner)
         for x in sorted(self.adj.get(partner, ())):
-            if x in visited:
+            if x in path:
                 continue
-            visited.add(x)
             path.append(x)
-            self._grow_halves(x, remaining - 2, path, visited, out)
-            visited.discard(x)
+            self._grow_halves(x, remaining - 2, path, out)
             path.pop()
-        visited.discard(partner)
         path.pop()
 
-    def _shortest_through(self, key: EdgeKey) -> list[int] | None:
+    def _shortest_through(self, key: EdgeKey) -> tuple[int, ...] | None:
         """Shortest augmenting path that uses `key` as an unmatched edge,
-        listed from key[0] to the far end; `key` may be in either orientation."""
+        listed from key[0] to the far end; `key` may be in either orientation.
+
+        When an end is free, its only half is that end alone: the paths are
+        the other end's halves grown behind it, and `min` keeps the first
+        shortest, the path the join below would pick.  Otherwise halves are
+        sorted by length (stable, so preorder breaks ties) and combine when
+        they share no vertex; the u-half's vertex set is built once, and
+        only when some v-half is short enough to test.
+        """
         u, v = key
         budget = self.max_path_len - 1
-        halves_u = sorted(self._halves(u, budget), key=lambda h: len(h[0]))
+        mate = self.mate
+        if u not in mate:
+            paths: list[tuple[int, ...]] = []
+            self._grow_halves(v, budget, [u, v], paths)
+            return min(paths, key=len) if paths else None
+        if v not in mate:
+            paths = []
+            self._grow_halves(u, budget, [v, u], paths)
+            return min(paths, key=len)[::-1] if paths else None
+        halves_u = sorted(self._halves(u, budget), key=len)
         if not halves_u:
             return None
-        halves_v = sorted(self._halves(v, budget), key=lambda h: len(h[0]))
-        best: list[int] | None = None
+        halves_v = sorted(self._halves(v, budget), key=len)
+        best: tuple[int, ...] | None = None
         best_len = self.max_path_len + 1
-        for pu, su in halves_u:
-            len_u = len(pu) - 1
-            if len_u + 1 >= best_len:
+        for pu in halves_u:
+            len_u = len(pu)
+            if len_u >= best_len:
                 break
-            for pv, sv in halves_v:
-                total = len_u + 1 + len(pv) - 1
+            seen = None
+            for pv in halves_v:
+                total = len_u + len(pv) - 1
                 if total >= best_len:
                     break
-                if su & sv:
+                if seen is None:
+                    seen = set(pu)
+                if not seen.isdisjoint(pv):
                     continue
-                best = list(reversed(pu)) + pv
+                best = pu[::-1] + pv
                 best_len = total
         return best

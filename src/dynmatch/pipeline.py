@@ -34,11 +34,12 @@ non-empty base delta: r is the lowest rank the update touches.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from itertools import chain
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import EdgeKey, Instance, Rank, level_of_rank
+from .core import EdgeKey, Instance, Rank
 from .errors import UnknownOpError
 from .finalmatch import UnionMatcher
 from .rgmm import EMPTY_DELTA, DeltaList, MatchingState
@@ -198,8 +199,7 @@ class Pipeline:
                     level_deltas.append((i, d))
         else:
             # Step 2: roles of every endpoint the base delta touched.
-            changed = set(chain.from_iterable(base_delta.left))
-            changed.update(chain.from_iterable(base_delta.joined))
+            changed = set(chain(*base_delta.left, *base_delta.joined))
             role_deltas = self.update_roles(changed)
             role_changes = sum(map(len, role_deltas.values()))
             # Step 3: level graph memberships, pruned by the trigger level,
@@ -215,10 +215,15 @@ class Pipeline:
         else:
             # The union writes its changes straight into the answer delta.
             # Positional `out`: perfbench's tracer forwards positional
-            # arguments only.
+            # arguments only.  The base delta goes first, in its own loops,
+            # so no combined list of (level, delta) pairs is built.
             answer_delta = DeltaList()
             remove, add = self.union.remove, self.union.add
-            for _, delta in [(0, base_delta), *level_deltas]:
+            for k_ in base_delta.left:
+                remove(k_, answer_delta)
+            for k_ in base_delta.joined:
+                add(k_, answer_delta)
+            for _, delta in level_deltas:
                 for k_ in delta.left:
                     remove(k_, answer_delta)
                 for k_ in delta.joined:
@@ -246,15 +251,19 @@ class Pipeline:
         match_level = self.match_level
         matched = self.base.matched
         k = self.base.k
-        thresholds = self.inst.thresholds
+        # `Instance.level_of_rank`, inlined.
+        levels = self.inst.levels
+        bounds = self.inst.bounds
         tapes = self.inst.tapes
         records = self.inst.records
         role = self.role
-        absent = Role.ABSENT
+        # Enum members bound once: a `Role.X` lookup costs ~100 ns.
+        absent, v_a, v_b = Role.ABSENT, Role.V_A, Role.V_B
+        u_side = _U_SIDE
         for v in sorted(changed):
             was = match_level[v]
             key = matched.get(v)
-            lv = 0 if key is None else level_of_rank(k[v], thresholds)
+            lv = 0 if key is None else levels - bisect_left(bounds, k[v])
             match_level[v] = lv
             tape = tapes[v]
             # Written without min/max: their generic calls cost more than
@@ -262,18 +271,22 @@ class Pipeline:
             lo, hi = (was, lv) if was < lv else (lv, was)
             for i in range(lo or 1, hi + 1):
                 if i > lv:
-                    new = _U_SIDE[tape[i - 1]]
+                    new = u_side[tape[i - 1]]
                 elif i < lv or not records[key].sampled[i - 1]:
                     new = absent
                 elif v == key[0]:
-                    new = Role.V_A
+                    new = v_a
                 else:
-                    new = Role.V_B
+                    new = v_b
                 row = role[i]
                 old = row[v]
                 if new is not old:
                     row[v] = new
-                    deltas.setdefault(i, []).append((v, old, new))
+                    row_deltas = deltas.get(i)
+                    if row_deltas is None:
+                        deltas[i] = [(v, old, new)]
+                    else:
+                        row_deltas.append((v, old, new))
         return deltas
 
     def rebuild_memberships(
@@ -303,6 +316,7 @@ class Pipeline:
                         level_deltas.append((i, d))
         records = self.inst.records
         neighbors_above = self.base.neighbors_above
+        partner = _PARTNER
         for i in levels:
             state = self.levels[i].state
             index = state.index
@@ -313,7 +327,7 @@ class Pipeline:
                 # Roles are final for this update, so filtering on the
                 # partner role inside the scan admits what the level filter
                 # would, in the same order.
-                candidates = neighbors_above(v, alpha, role, _PARTNER[new])
+                candidates = neighbors_above(v, alpha, role, partner[new])
                 probes += len(candidates)
                 for key in candidates:
                     if key[1] not in index.get(key[0], ()):
@@ -332,7 +346,11 @@ class Pipeline:
         below i, so only i = max(match levels) can admit the edge.
         """
         u, v = key
-        i = max(self.match_level[u], self.match_level[v])
+        match_level = self.match_level
+        i = match_level[u]
+        j = match_level[v]
+        if j > i:
+            i = j
         if i and _PARTNER.get(self.role[i][u]) is self.role[i][v]:
             return i
         return None

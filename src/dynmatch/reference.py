@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import EdgeKey, EdgeRecord, InstanceConfig, level_of_rank, thresholds_for
+from .core import EdgeKey, EdgeRecord, InstanceConfig, Rank, thresholds_for
 from .pipeline import Role
 from .rgmm import build_static
 
@@ -22,6 +22,17 @@ _ADMITTED = {
     (Role.V_B, Role.U_B),
     (Role.U_B, Role.V_B),
 }
+
+
+def level_by_scan(rank: Rank, thresholds: list[Rank]) -> int:
+    """The level whose rank interval holds `rank`, found by scanning the
+    boundaries t_1 > t_2 > ... in order: level i < L owns (t_i, t_{i-1}],
+    level L the rest.  The oracle's own lookup; the engine bisects."""
+    levels = len(thresholds) - 1
+    for i in range(1, levels):
+        if rank > thresholds[i]:
+            return i
+    return levels
 
 
 def static_reference(
@@ -47,7 +58,7 @@ def static_reference(
     members: dict[int, set[EdgeKey]] = {i: set() for i in range(1, levels + 1)}
     match_level = [0] * n
     for key in base.matching:
-        lvl = level_of_rank(base.k[key[0]], thresholds)
+        lvl = level_by_scan(base.k[key[0]], thresholds)
         members[lvl].add(key)
         match_level[key[0]] = lvl
         match_level[key[1]] = lvl

@@ -8,6 +8,7 @@ a replay is a pure function of (stream, algo config).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -19,10 +20,11 @@ from .streams import UpdateEvent
 
 
 def _percentile(sorted_vals: Sequence[int], q: float) -> int:
+    """Nearest-rank percentile of an ascending list: the smallest value with
+    at least a q share of the values at or below it (0 for no values)."""
     if not sorted_vals:
         return 0
-    idx = min(len(sorted_vals) - 1, int(q * len(sorted_vals)))
-    return sorted_vals[idx]
+    return sorted_vals[max(0, math.ceil(q * len(sorted_vals)) - 1)]
 
 
 def replay(

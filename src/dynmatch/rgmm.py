@@ -164,13 +164,16 @@ class MatchingState:
         if kv < threshold:
             return []  # every eliminator at v is <= k(v)
         self.counters["scans"] += len(idx)
+        unmatched = UNMATCHED_RANK
         out = []
         for x in idx:
             if label is not None and label[x] is not want:
                 continue
-            kx = k.get(x, UNMATCHED_RANK)
+            kx = k.get(x, unmatched)
             if kx >= threshold:
                 out.append((kx if kx < kv else kv, (v, x) if v < x else (x, v)))
+        if not out:
+            return out
         out.sort()
         return [key for _, key in out]
 
@@ -268,10 +271,10 @@ class MatchingState:
             return None
         k = self.k
         self.counters["scans"] += len(idx)
-        best_r = UNMATCHED_RANK
+        best_r = unmatched = UNMATCHED_RANK
         best_x = None
         for x, r in idx.items():
-            if r < best_r and k.get(x, UNMATCHED_RANK) > r:
+            if r < best_r and k.get(x, unmatched) > r:
                 best_r = r
                 best_x = x
         if best_x is None:
@@ -285,36 +288,51 @@ class MatchingState:
         Each heap entry is a lower bound for its vertex's true candidate; a
         vertex commits only when its recomputed candidate is no larger than
         every other pending entry, which reproduces the static greedy order.
+
+        Every heap pop counts once in `counters["pops"]`; the count is kept
+        in a local and added when the heap is empty.  `_match` and `_unmatch`
+        are inlined here, with the same key order.
         """
         heap: list[tuple[Rank, EdgeKey, int, int]] = []
-
-        def push(w: int) -> None:
-            best = self._best_candidate(w)
-            if best is not None:
-                heapq.heappush(heap, (best[0], best[1], w, best[2]))
-
+        heappush, heappop = heapq.heappush, heapq.heappop
+        best_candidate = self._best_candidate
+        matched, k = self.matched, self.k
+        left, joined = delta.left, delta.joined
         for w in seeds:
-            push(w)
+            best = best_candidate(w)
+            if best is not None:
+                heappush(heap, (best[0], best[1], w, best[2]))
+        pops = 0
         while heap:
-            _, _, w, _ = heapq.heappop(heap)
-            self.counters["pops"] += 1
-            if w in self.matched:
+            w = heappop(heap)[2]
+            pops += 1
+            if w in matched:
                 continue
-            best = self._best_candidate(w)
+            best = best_candidate(w)
             if best is None:
                 continue
             rank, key, x = best
             if heap and heap[0][0] < rank:
-                heapq.heappush(heap, (rank, key, w, x))
+                heappush(heap, (rank, key, w, x))
                 continue
-            old = self.matched.get(x)
+            old = matched.get(x)
             if old is not None:
-                self._unmatch(old)
-                delta.left.append(old)
-            self._match(key, rank)
-            delta.joined.append(key)
+                a, b = old
+                del matched[a], matched[b]
+                del k[a], k[b]
+                left.append(old)
+            a, b = key
+            matched[a] = key
+            matched[b] = key
+            k[a] = rank
+            k[b] = rank
+            joined.append(key)
             if old is not None:
-                push(old[0] if old[1] == x else old[1])
+                w = old[0] if old[1] == x else old[1]
+                best = best_candidate(w)
+                if best is not None:
+                    heappush(heap, (best[0], best[1], w, best[2]))
+        self.counters["pops"] += pops
 
 
 def build_static(edges: Iterable[tuple[EdgeKey, Rank]]) -> MatchingState:

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from dynmatch.errors import (
     EdgeNotFoundError,
     LoopEdgeError,
 )
+from dynmatch.reference import level_by_scan
 
 from helpers import rank_at, unpack_rank
 
@@ -225,6 +227,21 @@ class TestRankLevels:
         (pa, la), (pb, lb) = a, b
         assert (pa < pb) == (la < lb)
         assert (pa == pb) == (la == lb)
+
+    @pytest.mark.parametrize("levels", [1, 2, 4, 7])
+    @pytest.mark.parametrize("delta", [1, 2, 16, 32, 256, 4096])
+    def test_engine_lookup_agrees_with_oracle_scan(self, levels, delta):
+        # the engine bisects; the static reference keeps its own scan
+        inst = make_instance(delta=delta, levels=levels)
+        th = inst.thresholds
+        ranks = [0, UNMATCHED_RANK]
+        for t in th:
+            ranks += [t - 1, t, t + 1]
+        rng = random.Random(levels * 10_000 + delta)
+        ranks += [make_rank(rng.getrandbits(64), 3, 7) for _ in range(500)]
+        for r in ranks:
+            assert inst.level_of_rank(r) == level_by_scan(r, th), r
+            assert level_of_rank(r, th) == level_by_scan(r, th), r
 
     def test_alpha_for_level(self):
         inst = make_instance(delta=16, levels=2)

@@ -6,7 +6,7 @@ from dynmatch.cli import main
 from dynmatch.core import MAX_LEVELS, Instance, InstanceConfig
 from dynmatch.errors import OracleLimitError, ReplayError
 from dynmatch.pipeline import Pipeline
-from dynmatch.replay import replay
+from dynmatch.replay import _percentile, replay
 from dynmatch.streams import StreamSpec, UpdateEvent, generate_stream
 
 
@@ -107,6 +107,17 @@ class TestReplay:
         summary = replay(events, InstanceConfig(9, 4, 2, algo_seed=1),
                          oracle_every=0, oracle_limit=8)
         assert summary["events"] == 1
+
+
+def test_percentile_is_nearest_rank():
+    # ceil(q * n) - 1, as perfbench computes it: the p50 of two samples is
+    # the smaller one
+    assert _percentile([10, 20], 0.5) == 10
+    assert _percentile([10, 20, 30], 0.5) == 20
+    assert _percentile(list(range(1, 101)), 0.99) == 99
+    assert _percentile(list(range(1, 101)), 1.0) == 100
+    assert _percentile([7], 0.0) == 7
+    assert _percentile([], 0.5) == 0
 
 
 class TestCli:
