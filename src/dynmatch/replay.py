@@ -32,22 +32,21 @@ def replay(
     config: InstanceConfig,
     oracle_every: int = 100,
     metrics_path: str | Path | None = None,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> dict:
     """Feed events to the pipeline in order; return the summary dict.
 
-    A run the exact oracle cannot check (n above `oracle_limit` with oracle
-    checkpoints on) is refused before any event is replayed or written.  An
-    event the engine rejects stops the replay with a `ReplayError` naming
-    its sequence number.
+    A run the exact oracle cannot check (n above `DEFAULT_ORACLE_LIMIT` with
+    oracle checkpoints on) is refused before any event is replayed or
+    written.  An event the engine rejects stops the replay with a
+    `ReplayError` naming its sequence number.
     """
     if oracle_every < 0:
         raise ConfigError(
             f"oracle_every must be >= 0 (0 turns oracle checks off), got {oracle_every}"
         )
-    if oracle_every and config.n > oracle_limit:
+    if oracle_every and config.n > DEFAULT_ORACLE_LIMIT:
         raise OracleLimitError(
-            f"n={config.n} exceeds the exact oracle limit {oracle_limit}; "
+            f"n={config.n} exceeds the exact oracle limit {DEFAULT_ORACLE_LIMIT}; "
             "replay with oracle_every=0 (--oracle-every 0) to skip oracle checks"
         )
     inst = Instance(config)
@@ -72,7 +71,7 @@ def replay(
             mu = None
             ratio = None
             if oracle_every and records % oracle_every == 0:
-                mu = max_matching_exact(config.n, inst.records, limit=oracle_limit).size
+                mu = max_matching_exact(config.n, inst.records).size
                 ratio = answer / mu if mu else 1.0
                 ratios.append(ratio)
                 last_mu = mu

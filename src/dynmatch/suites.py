@@ -328,8 +328,9 @@ SUITES: dict[str, Callable[..., dict]] = {
 
 
 def run_validation(suite: str, **params) -> dict:
-    """Run one named suite; a parameter the suite does not take is a
-    `ConfigError` that names it, raised before the suite starts."""
+    """Run one named suite.  A parameter the suite does not take, or a count
+    below 1 (on which a suite crashes or checks nothing), is a `ConfigError`
+    that names it, raised before the suite starts."""
     if suite not in SUITES:
         raise DynMatchError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
@@ -342,4 +343,7 @@ def run_validation(suite: str, **params) -> dict:
             f"suite {suite!r} does not take {', '.join(unknown)}; "
             f"it takes {', '.join(accepted)}"
         )
+    for key in ("seeds", "trials", "updates", "vectors", "instances", "size", "m", "n"):
+        if params.get(key, 1) < 1:
+            raise ConfigError(f"suite {suite!r}: {key} must be >= 1, got {params[key]}")
     return fn(**params)

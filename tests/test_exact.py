@@ -5,11 +5,7 @@ import pytest
 
 from dynmatch.core import edge_key
 from dynmatch.errors import OracleLimitError
-from dynmatch.exact import (
-    IncrementalMatching,
-    hopcroft_karp,
-    max_matching_exact,
-)
+from dynmatch.exact import IncrementalMatching, max_matching_exact
 from dynmatch.suites import has_short_augmenting_path
 
 from helpers import brute_max_matching
@@ -20,6 +16,16 @@ PETERSEN = [
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),      # inner pentagram
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),      # spokes
 ]
+
+
+def _assert_valid_witness(res, edges):
+    """The witness is a matching of input edges, of the reported size."""
+    used = set()
+    for u, v in res.witness:
+        assert edge_key(u, v) in edges
+        assert u not in used and v not in used
+        used.update((u, v))
+    assert len(res.witness) == res.size
 
 
 class TestExact:
@@ -43,11 +49,7 @@ class TestExact:
             pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
             edges = set(rng.sample(pool, rng.randint(0, min(16, len(pool)))))
             res = max_matching_exact(n, edges)
-            used = set()
-            for u, v in res.witness:
-                assert edge_key(u, v) in edges
-                assert u not in used and v not in used
-                used.update((u, v))
+            _assert_valid_witness(res, edges)
             # no augmenting path of any length exists against a maximum matching
             assert not has_short_augmenting_path(edges, set(res.witness), 2 * n + 1)
 
@@ -64,8 +66,11 @@ class TestExact:
             max_matching_exact(5000, [])
 
 
-class TestBipartiteFastPath:
-    def test_hopcroft_karp_agrees_with_blossom(self):
+class TestOneSearchForEveryGraph:
+    """Bipartite graphs and graphs of mostly isolated vertices go through
+    the same blossom search as every other input."""
+
+    def test_random_bipartite_graphs(self):
         rng = random.Random(4)
         for _ in range(40):
             left = rng.randint(1, 8)
@@ -77,15 +82,24 @@ class TestBipartiteFastPath:
                 for w in range(right)
                 if rng.random() < 0.4
             }
-            adj = [[] for _ in range(n)]
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            match = hopcroft_karp(adj, range(left))
-            hk_size = sum(1 for v in match if v != -1) // 2
-            assert hk_size == brute_max_matching(n, edges)
-            # complete bipartite goes down the HK path inside the dispatcher
-            assert max_matching_exact(n, edges).size == hk_size
+            res = max_matching_exact(n, edges)
+            _assert_valid_witness(res, edges)
+            assert res.size == brute_max_matching(n, edges)
+
+    def test_mostly_isolated_vertices(self):
+        # the search loop skips edgeless roots; the edges sit among a few
+        # scattered vertices, odd cycles included
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randint(20, 200)
+            active = rng.sample(range(n), rng.randint(2, 9))
+            pool = [
+                edge_key(a, b) for i, a in enumerate(active) for b in active[i + 1:]
+            ]
+            edges = set(rng.sample(pool, rng.randint(1, min(14, len(pool)))))
+            res = max_matching_exact(n, edges)
+            _assert_valid_witness(res, edges)
+            assert res.size == brute_max_matching(n, edges)
 
 
 class TestIncremental:

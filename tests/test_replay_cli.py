@@ -4,10 +4,12 @@ import pytest
 
 from dynmatch.cli import main
 from dynmatch.core import MAX_LEVELS, Instance, InstanceConfig
-from dynmatch.errors import OracleLimitError, ReplayError
+from dynmatch.errors import ConfigError, OracleLimitError, ReplayError
+from dynmatch.exact import DEFAULT_ORACLE_LIMIT
 from dynmatch.pipeline import Pipeline
 from dynmatch.replay import _percentile, replay
 from dynmatch.streams import StreamSpec, UpdateEvent, generate_stream
+from dynmatch.suites import run_validation
 
 
 class TestReplay:
@@ -100,12 +102,11 @@ class TestReplay:
     def test_oracle_limit_checked_before_any_event(self, tmp_path):
         events = [UpdateEvent("ins", 0, 1, 0)]
         path = tmp_path / "metrics.jsonl"
+        config = InstanceConfig(DEFAULT_ORACLE_LIMIT + 1, 4, 2, algo_seed=1)
         with pytest.raises(OracleLimitError):
-            replay(events, InstanceConfig(9, 4, 2, algo_seed=1),
-                   oracle_every=1, metrics_path=path, oracle_limit=8)
+            replay(events, config, oracle_every=1, metrics_path=path)
         assert not path.exists()
-        summary = replay(events, InstanceConfig(9, 4, 2, algo_seed=1),
-                         oracle_every=0, oracle_limit=8)
+        summary = replay(events, config, oracle_every=0)
         assert summary["events"] == 1
 
 
@@ -305,3 +306,41 @@ class TestCli:
             "--n", "12", "--delta", "6", "--updates", "60", "--seeds", "2",
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("sampling-lemma", "--trials", "0"),
+        ("partition-augmentation", "--trials", "0"),
+        ("partition-augmentation", "--trials", "-3"),
+        ("equivalence", "--seeds", "0"),
+        ("level-stability", "--updates", "0"),
+        ("sparsification", "--n", "0"),
+    ])
+    def test_validate_refuses_a_count_below_one(self, suite, flag, value, capsys):
+        rc = main(["validate", "--suite", suite, flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert flag[2:] in lines[0] and value in lines[0]
+
+
+@pytest.mark.parametrize("suite, key, value", [
+    ("sampling-lemma", "trials", 0),
+    ("sampling-lemma", "instances", 0),
+    ("partition-augmentation", "trials", 0),
+    ("partition-augmentation", "size", 0),
+    ("sparsification", "m", 0),
+    ("sparsification", "trials", -3),
+    ("pivot-level", "vectors", 0),
+    ("equivalence", "seeds", 0),
+    ("final-approx", "updates", 0),
+])
+def test_run_validation_refuses_a_count_below_one(suite, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        run_validation(suite, **{key: value})
+
+
+def test_run_validation_allows_zero_noise():
+    report = run_validation("partition-augmentation", size=40, trials=3, noise=0)
+    assert report["size"] == 40
