@@ -102,9 +102,6 @@ class UnionMatcher:
     def edges(self) -> set[EdgeKey]:
         return set(self.mult)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj.get(v, ()))
-
     # -- updates ---------------------------------------------------------
 
     def add(self, key: EdgeKey, out: DeltaList) -> DeltaList:

@@ -9,14 +9,14 @@ brute force.
 Every edge has an *eliminator* (the lowest-rank matched edge touching it;
 itself if matched).  Since a matching has at most one edge per vertex, the
 eliminator rank of edge uv is simply min(k(u), k(v)) where k(.) is the
-matched rank (sentinel 1 when free), so it is derived from k on demand and
-never stored.  The state keeps each fact once: the per-vertex adjacency
-index is the edge set, `matched` is the matching, and `rank_of`, `matching`
-and `elim` are views built from them on every read.  The index is unordered
-and maps each neighbor to the rank of the shared edge, so a candidate scan
-at v reads ranks and neighbors straight from the index: it hashes only
-integer vertex ids, never an edge tuple, and builds an edge key only for
-what it returns.
+matched rank (the sentinel `UNMATCHED_RANK` when free), so it is derived
+from k on demand and never stored.  The state keeps each fact once: the
+per-vertex adjacency index is the edge set, `matched` is the matching, and
+`rank_of` and `matching` are views built from them on every read.  The index
+is unordered and maps each neighbor to the rank of the shared edge, so a
+candidate scan at v reads ranks and neighbors straight from the index: it
+hashes only integer vertex ids, never an edge tuple, and builds an edge key
+only for what it returns.
 One scan, `neighbors_above`, serves every caller; it costs O(deg(v)) plus
 sorting what it keeps, with an O(1) early exit when k(v) is below the
 threshold.  It can also filter on a per-vertex label of the far endpoint
@@ -84,13 +84,13 @@ class MatchingState:
         rank, edge), or returns in O(1) when k(v) is below the threshold.
     matched : vertex -> its matching edge (absent when unmatched); the
         matching itself.
-    k : vertex -> rank of its matching edge (absent when unmatched; read
-        through `matched_rank`, which returns the sentinel for free vertices).
+    k : vertex -> rank of its matching edge (absent when unmatched; readers
+        take the sentinel `UNMATCHED_RANK` for a free vertex).
 
     Read-only views, built from the stored state on every read and returned
-    as fresh copies: `rank_of` (edge -> rank, from `index`), `matching` (the
-    set of matched edges, from `matched`) and `elim` (edge -> eliminator
-    rank, from `index` and `k`).
+    as fresh copies: `rank_of` (edge -> rank, from `index`) and `matching`
+    (the set of matched edges, from `matched`).  An edge's eliminator rank
+    is min(k(u), k(v)), computed where it is read.
 
     Edge keys are (lo, hi) tuples.  Single-writer; `apply_insert` /
     `apply_delete` restore all invariants before returning, and a rejected
@@ -104,9 +104,6 @@ class MatchingState:
         self.counters = {"pops": 0, "scans": 0}
 
     # -- queries ---------------------------------------------------------
-
-    def matched_rank(self, v: int) -> Rank:
-        return self.k.get(v, UNMATCHED_RANK)
 
     @property
     def rank_of(self) -> dict[EdgeKey, Rank]:
@@ -123,19 +120,6 @@ class MatchingState:
         """The set of matched edges, a fresh set built from `matched` on
         every read: O(|M|)."""
         return set(self.matched.values())
-
-    @property
-    def elim(self) -> dict[EdgeKey, Rank]:
-        """Edge -> eliminator rank, min(k(u), k(v)), built on every read: O(m)."""
-        k = self.k
-        out = {}
-        for u, adj in self.index.items():
-            ku = k.get(u, UNMATCHED_RANK)
-            for x in adj:
-                if u < x:
-                    kx = k.get(x, UNMATCHED_RANK)
-                    out[(u, x)] = ku if ku < kx else kx
-        return out
 
     def incident(self, v: int) -> list[EdgeKey]:
         """Incident edges in increasing (eliminator rank, edge) order."""

@@ -268,4 +268,6 @@ def _parse_event(line: str, seq: int) -> UpdateEvent:
         raise bad(f"unknown op {obj['op']!r}")
     if type(obj["u"]) is not int or type(obj["v"]) is not int:
         raise bad("vertex ids must be integers")
+    if obj["u"] < 0 or obj["v"] < 0:
+        raise bad("vertex ids must be non-negative integers")
     return UpdateEvent(obj["op"], obj["u"], obj["v"], seq)

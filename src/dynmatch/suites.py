@@ -7,9 +7,11 @@ criteria in tests/test_acceptance.py call it:
 - `sparsification`, `sampling-lemma`, `partition-augmentation` and
   `pivot-level` at their defaults are criteria 05, 07, 08 and 09, draw for
   draw.
-- `run_equivalence_stream`, behind `equivalence`, `level-stability` and
-  `final-approx`, also feeds criteria 02, 03, 04 (the pipeline half) and 11,
-  at n=64 over L in {2, 3} with their own seeds.
+- `equivalence` is the one suite for the pipeline: its loop,
+  `run_equivalence_stream`, makes every check on every update and the suite
+  passes only when every count is zero.  The same loop feeds criteria 02,
+  03, 04 (the pipeline half) and 11, at n=64 over L in {2, 3} with their
+  own seeds.
 
 Criteria 01, 04's n=500 half, 06 and 10 have no suite.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import copy
 import inspect
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Callable
 
 from .core import EdgeKey, Instance, InstanceConfig
@@ -83,19 +85,15 @@ def run_equivalence_stream(
     updates: int,
     stream_seed: int,
     algo_seed: int,
-    *,
-    check_stability: bool = False,
-    check_final: bool = False,
 ) -> dict:
-    """Replay one erdos-churn stream, comparing the pipeline against the
-    static reference after every update.
+    """Replay one erdos-churn stream and make every check after every update.
 
-    `check_stability` also checks that the level graphs above the trigger
-    level keep their edges and matchings.  `check_final` also checks the
-    final matcher contract (no augmenting path of length <= 2k-1 in the
-    union; |answer| >= k/(k+1) mu(union)) and the bounds beneath it: M_0 is
-    maximal, |M_0| >= mu/2 and |answer| >= |M_0|.  Each check reports its
-    own violation count.
+    The pipeline must equal the static reference, and the level graphs
+    above the trigger level must keep their edges and matchings.  The final
+    matcher contract must hold (no augmenting path of length <= 2k-1 in the
+    union; |answer| >= k/(k+1) mu(union)), and so must the bounds beneath
+    it: M_0 is maximal, |M_0| >= mu/2 and |answer| >= |M_0|.  Each check
+    reports its own violation count.
     """
     events = generate_stream(
         StreamSpec("erdos-churn", n, delta, updates, stream_seed, {})
@@ -117,34 +115,29 @@ def run_equivalence_stream(
         0,
     )
     for ev in events:
-        before = None
-        if check_stability:
-            before = {i: copy.deepcopy(ls.state) for i, ls in pipe.levels.items()}
+        before = {i: copy.deepcopy(ls.state) for i, ls in pipe.levels.items()}
         report = pipe.handle_update(ev.op, ev.u, ev.v)
         ref = static_reference(inst.records.values(), inst.tapes, config)
         if pipe.snapshot() != ref:
             counts["mismatches"] += 1
-        if check_stability and report.trigger_level is not None:
+        if report.trigger_level is not None:
             for i in range(report.trigger_level + 1, levels + 1):
                 if before[i] != pipe.levels[i].state:
                     counts["stability_violations"] += 1
-        if check_final:
-            m0 = len(pipe.base.matched) // 2
-            answer = pipe.union.size()
-            union_edges = pipe.union.edges()
-            mu_union = max_matching_exact(n, union_edges).size
-            if not pipe.base.is_maximal():
-                counts["maximality_violations"] += 1
-            if 2 * m0 < max_matching_exact(n, inst.records.keys()).size:
-                counts["half_mu_violations"] += 1
-            if answer < m0:
-                counts["answer_below_m0"] += 1
-            if has_short_augmenting_path(
-                union_edges, pipe.current_answer(), 2 * k - 1
-            ):
-                counts["short_path_violations"] += 1
-            if answer * (k + 1) < mu_union * k:
-                counts["union_ratio_violations"] += 1
+        m0 = len(pipe.base.matched) // 2
+        answer = pipe.union.size()
+        union_edges = pipe.union.edges()
+        mu_union = max_matching_exact(n, union_edges).size
+        if not pipe.base.is_maximal():
+            counts["maximality_violations"] += 1
+        if 2 * m0 < max_matching_exact(n, inst.records.keys()).size:
+            counts["half_mu_violations"] += 1
+        if answer < m0:
+            counts["answer_below_m0"] += 1
+        if has_short_augmenting_path(union_edges, pipe.current_answer(), 2 * k - 1):
+            counts["short_path_violations"] += 1
+        if answer * (k + 1) < mu_union * k:
+            counts["union_ratio_violations"] += 1
     return {"events": len(events), **counts}
 
 
@@ -155,20 +148,19 @@ def suite_equivalence(
     updates: int = 200,
     seeds: int = 10,
 ) -> dict:
-    per_seed = []
-    total_mismatch = 0
+    totals: Counter = Counter()
     for s in range(seeds):
-        res = run_equivalence_stream(
+        totals.update(run_equivalence_stream(
             n, delta, levels, updates, stream_seed=1000 + s, algo_seed=2000 + s
-        )
-        per_seed.append(res)
-        total_mismatch += res["mismatches"]
+        ))
+    events = totals.pop("events")
     return {
         "suite": "equivalence",
         "seeds": seeds,
         "updates": updates,
-        "mismatches": total_mismatch,
-        "passed": total_mismatch == 0,
+        "events": events,
+        **totals,
+        "passed": not any(totals.values()),
     }
 
 
@@ -270,60 +262,12 @@ def suite_pivot_level(vectors: int = 10000) -> dict:
     }
 
 
-def suite_level_stability(
-    n: int = 32,
-    delta: int = 16,
-    levels: int = 3,
-    updates: int = 200,
-    seeds: int = 5,
-) -> dict:
-    violations = 0
-    for s in range(seeds):
-        res = run_equivalence_stream(
-            n, delta, levels, updates,
-            stream_seed=3000 + s, algo_seed=4000 + s,
-            check_stability=True,
-        )
-        violations += res["stability_violations"] + res["mismatches"]
-    return {
-        "suite": "level-stability",
-        "seeds": seeds,
-        "violations": violations,
-        "passed": violations == 0,
-    }
-
-
-def suite_final_approx(
-    n: int = 32,
-    delta: int = 16,
-    levels: int = 2,
-    updates: int = 150,
-    seeds: int = 3,
-) -> dict:
-    violations = 0
-    for s in range(seeds):
-        res = run_equivalence_stream(
-            n, delta, levels, updates,
-            stream_seed=5000 + s, algo_seed=6000 + s,
-            check_final=True,
-        )
-        violations += res["short_path_violations"] + res["union_ratio_violations"]
-    return {
-        "suite": "final-approx",
-        "seeds": seeds,
-        "violations": violations,
-        "passed": violations == 0,
-    }
-
-
 SUITES: dict[str, Callable[..., dict]] = {
     "equivalence": suite_equivalence,
     "sparsification": suite_sparsification,
     "sampling-lemma": suite_sampling_lemma,
     "partition-augmentation": suite_partition_augmentation,
     "pivot-level": suite_pivot_level,
-    "level-stability": suite_level_stability,
-    "final-approx": suite_final_approx,
 }
 
 

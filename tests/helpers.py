@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from dynmatch.core import RANK_SCALE, Rank, edge_key, make_rank
+from dynmatch.core import RANK_SCALE, UNMATCHED_RANK, Rank, edge_key, make_rank
 
 
 def brute_max_matching(n: int, edges) -> int:
@@ -50,6 +50,13 @@ def rank_at(fraction: float, key=(0, 1)) -> Rank:
     """A deterministic test rank at the given fraction of [0, 1); key (0, 0)
     gives the rank below every real edge's rank at that value."""
     return make_rank(int(fraction * 2**64), *key)
+
+
+def elim_rank(k: dict, key) -> Rank:
+    """Eliminator rank of edge `key` under the matched-rank map `k`:
+    min(k(u), k(v)), with the sentinel for a free endpoint."""
+    u, v = key
+    return min(k.get(u, UNMATCHED_RANK), k.get(v, UNMATCHED_RANK))
 
 
 def unpack_rank(rank: Rank) -> tuple[int, int, int]:

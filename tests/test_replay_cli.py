@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -242,6 +243,14 @@ class TestCli:
         assert self._run(stream) == 2
         assert "line 3: not UTF-8" in self._one_error_line(capsys)
 
+    def test_run_stream_with_negative_ids_names_the_line(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": -5, "v": -3}\n')
+        assert self._run(stream) == 2
+        assert "line 1: vertex ids must be non-negative integers" in (
+            self._one_error_line(capsys)
+        )
+
     def test_gen_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "nonexistent" / "s.jsonl"
         rc = main([
@@ -312,7 +321,7 @@ class TestCli:
         ("partition-augmentation", "--trials", "0"),
         ("partition-augmentation", "--trials", "-3"),
         ("equivalence", "--seeds", "0"),
-        ("level-stability", "--updates", "0"),
+        ("equivalence", "--updates", "0"),
         ("sparsification", "--n", "0"),
     ])
     def test_validate_refuses_a_count_below_one(self, suite, flag, value, capsys):
@@ -334,11 +343,31 @@ class TestCli:
     ("sparsification", "trials", -3),
     ("pivot-level", "vectors", 0),
     ("equivalence", "seeds", 0),
-    ("final-approx", "updates", 0),
+    ("equivalence", "updates", 0),
 ])
 def test_run_validation_refuses_a_count_below_one(suite, key, value):
     with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
         run_validation(suite, **{key: value})
+
+
+def test_equivalence_fails_on_a_short_augmenting_path(monkeypatch):
+    monkeypatch.setattr(
+        "dynmatch.suites.has_short_augmenting_path", lambda *args: True
+    )
+    report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
+    assert report["short_path_violations"] == report["events"] == 30
+    assert report["passed"] is False
+
+
+def test_equivalence_fails_when_m0_is_below_half_mu(monkeypatch):
+    # mu cannot exceed n/2, so n + 1 is above 2|M_0| on every update
+    monkeypatch.setattr(
+        "dynmatch.suites.max_matching_exact",
+        lambda n, edges: SimpleNamespace(size=n + 1, witness=set()),
+    )
+    report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
+    assert report["half_mu_violations"] == 30
+    assert report["passed"] is False
 
 
 def test_run_validation_allows_zero_noise():

@@ -9,7 +9,7 @@ from dynmatch.core import UNMATCHED_RANK, edge_key, make_rank
 from dynmatch.errors import DuplicateEdgeError, EdgeNotFoundError
 from dynmatch.rgmm import EMPTY_DELTA, MatchingState, build_static
 
-from helpers import random_stream, rank_at, unpack_rank
+from helpers import elim_rank, random_stream, rank_at, unpack_rank
 
 
 def ranked(*triples):
@@ -22,20 +22,20 @@ class TestBuildStatic:
         edges = ranked((1, 2, 0.2), (2, 3, 0.5))
         st_ = build_static(edges)
         assert st_.matching == {(1, 2)}
-        assert st_.elim[(2, 3)] == rank_at(0.2, (1, 2))
-        assert st_.elim[(1, 2)] == rank_at(0.2, (1, 2))
+        assert elim_rank(st_.k, (2, 3)) == rank_at(0.2, (1, 2))
+        assert elim_rank(st_.k, (1, 2)) == rank_at(0.2, (1, 2))
 
     def test_triangle(self):
         edges = ranked((0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3))
         st_ = build_static(edges)
         assert st_.matching == {(0, 1)}
-        assert st_.elim[(1, 2)] == rank_at(0.1, (0, 1))
-        assert st_.elim[(0, 2)] == rank_at(0.1, (0, 1))
+        assert elim_rank(st_.k, (1, 2)) == rank_at(0.1, (0, 1))
+        assert elim_rank(st_.k, (0, 2)) == rank_at(0.1, (0, 1))
 
     def test_empty(self):
         st_ = build_static([])
         assert st_.matching == set()
-        assert st_.matched_rank(0) == UNMATCHED_RANK
+        assert st_.k == {} and st_.index == {}
 
     def test_deterministic_function_of_input(self):
         rng = random.Random(3)
@@ -74,7 +74,7 @@ class TestApplyInsert:
         st_.apply_insert((1, 2), rank_at(0.2, (1, 2)))
         d = st_.apply_insert((2, 3), rank_at(0.5, (2, 3)))
         assert d is EMPTY_DELTA
-        assert st_.elim[(2, 3)] == rank_at(0.2, (1, 2))
+        assert elim_rank(st_.k, (2, 3)) == rank_at(0.2, (1, 2))
 
 
 class TestApplyDelete:
@@ -91,7 +91,7 @@ class TestApplyDelete:
         st_.apply_insert((2, 3), rank_at(0.5, (2, 3)))
         d = st_.apply_delete((2, 3))
         assert d is EMPTY_DELTA
-        assert (2, 3) not in st_.elim
+        assert (2, 3) not in st_.rank_of
         assert st_.matching == {(1, 2)}
 
     def test_delete_absent_edge(self):
@@ -193,12 +193,11 @@ class TestNeighborsAbove:
             else:
                 st_.apply_delete(key)
                 del edges[key]
-        elim = st_.elim
         coin = [rng.randrange(2) for _ in range(10)]
         labels = [(None, None), (coin, 1), (coin, 0), ([None] * 10, "none")]
         kept_some = False
         for v in range(10):
-            at_v = sorted((elim[k], k) for k in edges if v in k)
+            at_v = sorted((elim_rank(st_.k, k), k) for k in edges if v in k)
             assert st_.incident(v) == [k for _, k in at_v]
             thresholds = [rank_at(f, (0, 0)) for f in (0.0, 0.1, 0.5, 0.9)]
             if v in st_.k:
@@ -250,7 +249,7 @@ class TestBestCandidate:
                     if w in key_
                 ]
                 expect = min(
-                    (o for o in options if st_.matched_rank(o[2]) > o[0]),
+                    (o for o in options if st_.k.get(o[2], UNMATCHED_RANK) > o[0]),
                     default=None,
                 )
                 assert st_._best_candidate(w) == expect
@@ -329,7 +328,10 @@ class TestOracleEquivalence:
 class TestInvariants:
     @staticmethod
     def _views(st_):
-        return {"elim": st_.elim, "matching": st_.matching}
+        return {
+            "elim": {key: elim_rank(st_.k, key) for key in st_.rank_of},
+            "matching": st_.matching,
+        }
 
     def _churn(self, seed, n=10, steps=150):
         rng = random.Random(seed)
@@ -351,12 +353,18 @@ class TestInvariants:
         assert st_.is_maximal()
 
     def test_eliminator_definition(self):
+        # the eliminator of an edge is the lowest-rank matched edge touching
+        # it, found here by scanning the whole matching
         st_, _ = self._churn(2)
-        for key, erank in st_.elim.items():
-            u, v = key
-            want = min(st_.matched_rank(u), st_.matched_rank(v))
+        ranks = st_.rank_of
+        for key, rank in ranks.items():
+            want = min(
+                (ranks[m] for m in st_.matching if set(m) & set(key)),
+                default=UNMATCHED_RANK,
+            )
+            erank = elim_rank(st_.k, key)
             assert erank == want
-            assert (key in st_.matching) == (erank == st_.rank_of[key])
+            assert (key in st_.matching) == (erank == rank)
 
     def test_localization_below_update_rank(self):
         # edges whose eliminator rank was below the updated edge's rank keep
@@ -402,17 +410,12 @@ class TestInvariants:
             if v in st_.matched:
                 assert st_.k[v] == st_.rank_of[st_.matched[v]]
             else:
-                assert st_.matched_rank(v) == UNMATCHED_RANK
+                assert v not in st_.k
 
     def test_index_mirrors_eliminators(self):
         # every live edge is indexed under both endpoints, keyed by the other
-        # endpoint and holding the edge's rank, and nothing else is indexed;
-        # the eliminators it serves are min(k(u), k(v)) recomputed from k
+        # endpoint and holding the edge's rank, and nothing else is indexed
         st_, _ = self._churn(6)
         assert sum(len(adj) for adj in st_.index.values()) == 2 * len(st_.rank_of)
         for (u, v), rank in st_.rank_of.items():
             assert st_.index[u][v] == st_.index[v][u] == rank
-        assert st_.elim == {
-            (u, v): min(st_.matched_rank(u), st_.matched_rank(v))
-            for u, v in st_.rank_of
-        }

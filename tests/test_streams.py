@@ -109,6 +109,10 @@ class TestStreamFiles:
             ('{"op": "upd", "u": 1, "v": 2}', "unknown op 'upd'"),
             ('[1, 2]', "expected a JSON object"),
             ('{"op": "del", "u": "1", "v": 2}', "vertex ids must be integers"),
+            ('{"op": "ins", "u": -5, "v": -3}',
+             "vertex ids must be non-negative integers"),
+            ('{"op": "del", "u": 4, "v": -1}',
+             "vertex ids must be non-negative integers"),
         ],
     )
     def test_malformed_line_names_its_line(self, tmp_path, bad, reason):
