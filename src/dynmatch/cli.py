@@ -9,7 +9,7 @@ import sys
 
 from .core import InstanceConfig
 from .errors import ConfigError, DynMatchError
-from .replay import replay, write_summary
+from .replay import CHECKS, replay, write_summary
 from .streams import (
     GENERATORS,
     StreamSpec,
@@ -134,7 +134,7 @@ def _run(args: argparse.Namespace) -> int:
                 if not written:
                     os.unlink(args.summary)
         print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
+        return 1 if any(summary[key] for key in CHECKS) else 0
 
     if args.command == "validate":
         params = {

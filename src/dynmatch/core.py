@@ -141,8 +141,10 @@ class InstanceConfig:
                 f"vertex count {self.n} exceeds {MAX_VERTICES}, the largest "
                 "universe a rank's 32-bit tie-break fields can key"
             )
-        if self.delta_cap < 1:
-            raise ConfigError("delta_cap must be at least 1")
+        if not 1 <= self.delta_cap <= MAX_VERTICES:
+            # Above MAX_VERTICES the cap bounds nothing (no degree exceeds
+            # n - 1), and the float level thresholds would overflow.
+            raise ConfigError(f"delta_cap must lie in [1, {MAX_VERTICES}]")
         if not 1 <= self.levels <= MAX_LEVELS:
             raise ConfigError(
                 f"levels must lie in [1, {MAX_LEVELS}], got {self.levels}"

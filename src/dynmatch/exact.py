@@ -1,15 +1,20 @@
-"""Exact maximum matching: blossom search for every graph, bipartite or
-not, and an incrementally maintained variant for per-update oracle checks.
+"""The exact oracles: maximum matching and short augmenting paths.
 
-The blossom routine is the classic array-based single-root search (grow an
-alternating tree, contract odd cycles via base pointers, walk parent links to
-augment).  It is quadratic-ish per augmentation, which is all the desk-scale
-harness needs.
+`max_matching_exact` finds mu by blossom search for every graph, bipartite
+or not, and `IncrementalMatching` maintains a maximum matching across single
+edge updates for per-update oracle checks.  The blossom routine is the
+classic array-based single-root search (grow an alternating tree, contract
+odd cycles via base pointers, walk parent links to augment).  It is
+quadratic-ish per augmentation, which is all the desk-scale harness needs.
+
+`has_short_augmenting_path` checks the final matcher's contract (no
+augmenting path of at most 2k-1 edges) by exhaustive backtracking.  None of
+them uses the engine's matching code, so they can check it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +28,45 @@ DEFAULT_ORACLE_LIMIT = 2000
 class ExactMatchingResult:
     size: int
     witness: frozenset[EdgeKey]
+
+
+def has_short_augmenting_path(
+    edges: set[EdgeKey], matching: set[EdgeKey], max_len: int
+) -> bool:
+    """Exhaustive check for an augmenting path of at most `max_len` edges.
+
+    Enumerates every simple alternating path from every free vertex by
+    backtracking, so it is reliable on non-bipartite graphs (no global
+    visited marks).
+    """
+    adj: dict[int, set[int]] = defaultdict(set)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    mate: dict[int, int] = {}
+    for u, v in matching:
+        mate[u] = v
+        mate[v] = u
+
+    def grow(v: int, remaining: int, visited: set[int]) -> bool:
+        for x in sorted(adj[v]):
+            if x in visited or mate.get(v) == x:
+                continue
+            if x not in mate:
+                return True
+            w = mate[x]
+            if remaining >= 3 and w not in visited:
+                visited.add(x)
+                visited.add(w)
+                if grow(w, remaining - 2, visited):
+                    return True
+                visited.discard(x)
+                visited.discard(w)
+        return False
+
+    return any(
+        grow(f, max_len, {f}) for f in adj if f not in mate and adj[f]
+    )
 
 
 def _lca(match: list[int], base: list[int], p: list[int], a: int, b: int) -> int:

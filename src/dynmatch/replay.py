@@ -1,22 +1,40 @@
-"""Replay an update stream through the pipeline and collect metrics.
+"""Replay an update stream through the pipeline, check it, and collect metrics.
+
+`replay` is the one loop that replays a stream through a `Pipeline`; `dynmatch
+run`, the `equivalence` suite and the acceptance criteria all call it.  Every
+`oracle_every`-th update, and the last one, is a checkpoint.  There each check
+counts its violations (`CHECKS`, in order): the pipeline differs from
+`static_reference`; a level above the update's trigger level differs from its
+copy taken just before the update (one per level); M_0 is not maximal;
+|M_0| < mu(G)/2; |answer| < |M_0|; the union graph holds an augmenting path
+of at most 2k-1 edges; |answer| < k/(k+1) mu(union).
 
 Metrics are one JSON object per update (append-only, parseable on their own);
-the summary aggregates timing and quality figures.  Wall-clock fields aside,
-a replay is a pure function of (stream, algo config).
+the summary aggregates timing, quality figures and the check counts.
+Wall-clock fields aside, a replay is a pure function of (stream, algo config).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .core import Instance, InstanceConfig
 from .errors import ConfigError, DynMatchError, OracleLimitError, ReplayError
-from .exact import DEFAULT_ORACLE_LIMIT, max_matching_exact
+from .exact import DEFAULT_ORACLE_LIMIT, has_short_augmenting_path, max_matching_exact
 from .pipeline import Pipeline
+from .reference import static_reference
 from .streams import UpdateEvent
+
+#: The violation counts a checkpoint adds to, in report order.
+CHECKS = (
+    "mismatches", "stability_violations", "maximality_violations",
+    "half_mu_violations", "answer_below_m0", "short_path_violations",
+    "union_ratio_violations",
+)
 
 
 def _percentile(sorted_vals: Sequence[int], q: float) -> int:
@@ -27,18 +45,48 @@ def _percentile(sorted_vals: Sequence[int], q: float) -> int:
     return sorted_vals[max(0, math.ceil(q * len(sorted_vals)) - 1)]
 
 
+def _check(
+    pipe: Pipeline, before: dict, trigger_level: int | None, counts: dict[str, int]
+) -> int:
+    """Make every check on `pipe` just after an update, adding each violation
+    to `counts`; return mu(G).  `before` maps each level to a copy of its
+    state taken just before the update."""
+    inst = pipe.inst
+    config = inst.config
+    k = config.answer_depth()
+    mu = max_matching_exact(config.n, inst.records.keys()).size
+    ref = static_reference(inst.records.values(), inst.tapes, config)
+    counts["mismatches"] += pipe.snapshot() != ref
+    if trigger_level is not None:
+        for i in range(trigger_level + 1, config.levels + 1):
+            counts["stability_violations"] += before[i] != pipe.levels[i].state
+    m0 = len(pipe.base.matched) // 2
+    answer = pipe.union.size()
+    union_edges = pipe.union.edges()
+    mu_union = max_matching_exact(config.n, union_edges).size
+    counts["maximality_violations"] += not pipe.base.is_maximal()
+    counts["half_mu_violations"] += 2 * m0 < mu
+    counts["answer_below_m0"] += answer < m0
+    counts["short_path_violations"] += has_short_augmenting_path(
+        union_edges, pipe.current_answer(), 2 * k - 1
+    )
+    counts["union_ratio_violations"] += answer * (k + 1) < mu_union * k
+    return mu
+
+
 def replay(
-    events: Iterable[UpdateEvent],
+    events: Sequence[UpdateEvent],
     config: InstanceConfig,
     oracle_every: int = 100,
     metrics_path: str | Path | None = None,
 ) -> dict:
-    """Feed events to the pipeline in order; return the summary dict.
+    """Feed events to the pipeline in order, checking every checkpoint (see
+    the module docstring); return the summary dict.
 
-    A run the exact oracle cannot check (n above `DEFAULT_ORACLE_LIMIT` with
-    oracle checkpoints on) is refused before any event is replayed or
-    written.  An event the engine rejects stops the replay with a
-    `ReplayError` naming its sequence number.
+    `oracle_every=0` turns checkpoints off.  A run the exact oracle cannot
+    check (n above `DEFAULT_ORACLE_LIMIT` with checkpoints on) is refused
+    before any event is replayed or written.  An event the engine rejects
+    stops the replay with a `ReplayError` naming its sequence number.
     """
     if oracle_every < 0:
         raise ConfigError(
@@ -56,28 +104,32 @@ def replay(
     times: list[int] = []
     adjusts: list[int] = []
     ratios: list[float] = []
+    counts = dict.fromkeys(CHECKS, 0)
     records = 0
-    last = {"m0": 0, "answer": 0}
     last_mu: int | None = None
     try:
         for ev in events:
+            records += 1
+            check = oracle_every and (
+                records % oracle_every == 0 or records == len(events)
+            )
+            if check:
+                before = {i: copy.deepcopy(ls.state) for i, ls in pipe.levels.items()}
             try:
                 report = pipe.handle_update(ev.op, ev.u, ev.v)
             except DynMatchError as exc:
                 raise ReplayError(ev.seq, str(exc)) from exc
-            records += 1
             m0 = len(pipe.base.matched) // 2
             answer = pipe.union.size()
             mu = None
             ratio = None
-            if oracle_every and records % oracle_every == 0:
-                mu = max_matching_exact(config.n, inst.records).size
+            if check:
+                mu = _check(pipe, before, report.trigger_level, counts)
                 ratio = answer / mu if mu else 1.0
                 ratios.append(ratio)
                 last_mu = mu
             times.append(report.elapsed_ns)
             adjusts.append(report.adjustment_complexity())
-            last = {"m0": m0, "answer": answer}
             if out is not None:
                 sizes: dict[str, int] = {}
                 for i, d in report.level_deltas:
@@ -108,8 +160,8 @@ def replay(
         "delta": config.delta_cap,
         "levels": config.levels,
         "algo_seed": config.algo_seed,
-        "final_m0": last["m0"],
-        "final_answer": last["answer"],
+        "final_m0": len(pipe.base.matched) // 2,
+        "final_answer": pipe.union.size(),
         "final_mu": last_mu,
         # What each level adds on top of M_0, read once after the last event.
         "final_levels": {
@@ -125,6 +177,8 @@ def replay(
         "max_adjustment": max(adjusts) if adjusts else 0,
         "min_ratio": min(ratios) if ratios else None,
         "final_ratio": ratios[-1] if ratios else None,
+        "checkpoints": len(ratios),
+        **counts,
     }
     return summary
 

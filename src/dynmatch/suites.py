@@ -7,28 +7,26 @@ criteria in tests/test_acceptance.py call it:
 - `sparsification`, `sampling-lemma`, `partition-augmentation` and
   `pivot-level` at their defaults are criteria 05, 07, 08 and 09, draw for
   draw.
-- `equivalence` is the one suite for the pipeline: its loop,
-  `run_equivalence_stream`, makes every check on every update and the suite
-  passes only when every count is zero.  The same loop feeds criteria 02,
-  03, 04 (the pipeline half) and 11, at n=64 over L in {2, 3} with their
-  own seeds.
+- `equivalence` is the one suite for the pipeline: it replays erdos-churn
+  streams with `replay(..., oracle_every=1)`, so every check is made after
+  every update, and it passes only when every count is zero.  Criteria 02,
+  03, 04 (the pipeline half) and 11 make the same `replay` call at n=64
+  over L in {2, 3} with their own seeds.
 
 Criteria 01, 04's n=500 half, 06 and 10 have no suite.
 """
 
 from __future__ import annotations
 
-import copy
 import inspect
 import random
-from collections import Counter, defaultdict
 from typing import Callable
 
-from .core import EdgeKey, Instance, InstanceConfig
+from .core import InstanceConfig
 from .errors import ConfigError, ConsistencyError, DynMatchError
-from .exact import max_matching_exact
-from .pipeline import Pipeline
-from .reference import static_reference
+# has_short_augmenting_path is re-exported: perfbench imports it from here.
+from .exact import has_short_augmenting_path, max_matching_exact  # noqa: F401
+from .replay import CHECKS, replay
 from .streams import StreamSpec, generate_stream
 from .validators import (
     audit_sparsification,
@@ -39,108 +37,6 @@ from .validators import (
 )
 
 
-def has_short_augmenting_path(
-    edges: set[EdgeKey], matching: set[EdgeKey], max_len: int
-) -> bool:
-    """Exhaustive check for an augmenting path of at most `max_len` edges.
-
-    Enumerates every simple alternating path from every free vertex by
-    backtracking, so it is reliable on non-bipartite graphs (no global
-    visited marks).
-    """
-    adj: dict[int, set[int]] = defaultdict(set)
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    mate: dict[int, int] = {}
-    for u, v in matching:
-        mate[u] = v
-        mate[v] = u
-
-    def grow(v: int, remaining: int, visited: set[int]) -> bool:
-        for x in sorted(adj[v]):
-            if x in visited or mate.get(v) == x:
-                continue
-            if x not in mate:
-                return True
-            w = mate[x]
-            if remaining >= 3 and w not in visited:
-                visited.add(x)
-                visited.add(w)
-                if grow(w, remaining - 2, visited):
-                    return True
-                visited.discard(x)
-                visited.discard(w)
-        return False
-
-    return any(
-        grow(f, max_len, {f}) for f in adj if f not in mate and adj[f]
-    )
-
-
-def run_equivalence_stream(
-    n: int,
-    delta: int,
-    levels: int,
-    updates: int,
-    stream_seed: int,
-    algo_seed: int,
-) -> dict:
-    """Replay one erdos-churn stream and make every check after every update.
-
-    The pipeline must equal the static reference, and the level graphs
-    above the trigger level must keep their edges and matchings.  The final
-    matcher contract must hold (no augmenting path of length <= 2k-1 in the
-    union; |answer| >= k/(k+1) mu(union)), and so must the bounds beneath
-    it: M_0 is maximal, |M_0| >= mu/2 and |answer| >= |M_0|.  Each check
-    reports its own violation count.
-    """
-    events = generate_stream(
-        StreamSpec("erdos-churn", n, delta, updates, stream_seed, {})
-    )
-    config = InstanceConfig(n, delta, levels, algo_seed=algo_seed)
-    inst = Instance(config)
-    pipe = Pipeline(inst)
-    k = config.answer_depth()
-    counts = dict.fromkeys(
-        (
-            "mismatches",
-            "stability_violations",
-            "maximality_violations",
-            "half_mu_violations",
-            "answer_below_m0",
-            "short_path_violations",
-            "union_ratio_violations",
-        ),
-        0,
-    )
-    for ev in events:
-        before = {i: copy.deepcopy(ls.state) for i, ls in pipe.levels.items()}
-        report = pipe.handle_update(ev.op, ev.u, ev.v)
-        ref = static_reference(inst.records.values(), inst.tapes, config)
-        if pipe.snapshot() != ref:
-            counts["mismatches"] += 1
-        if report.trigger_level is not None:
-            for i in range(report.trigger_level + 1, levels + 1):
-                if before[i] != pipe.levels[i].state:
-                    counts["stability_violations"] += 1
-        m0 = len(pipe.base.matched) // 2
-        answer = pipe.union.size()
-        union_edges = pipe.union.edges()
-        mu_union = max_matching_exact(n, union_edges).size
-        if not pipe.base.is_maximal():
-            counts["maximality_violations"] += 1
-        if 2 * m0 < max_matching_exact(n, inst.records.keys()).size:
-            counts["half_mu_violations"] += 1
-        if answer < m0:
-            counts["answer_below_m0"] += 1
-        if has_short_augmenting_path(union_edges, pipe.current_answer(), 2 * k - 1):
-            counts["short_path_violations"] += 1
-        if answer * (k + 1) < mu_union * k:
-            counts["union_ratio_violations"] += 1
-    return {"events": len(events), **counts}
-
-
 def suite_equivalence(
     n: int = 32,
     delta: int = 16,
@@ -148,19 +44,21 @@ def suite_equivalence(
     updates: int = 200,
     seeds: int = 10,
 ) -> dict:
-    totals: Counter = Counter()
+    totals = dict.fromkeys(("events", *CHECKS), 0)
     for s in range(seeds):
-        totals.update(run_equivalence_stream(
-            n, delta, levels, updates, stream_seed=1000 + s, algo_seed=2000 + s
-        ))
-    events = totals.pop("events")
+        config = InstanceConfig(n, delta, levels, algo_seed=2000 + s)
+        events = generate_stream(
+            StreamSpec("erdos-churn", n, delta, updates, 1000 + s, {})
+        )
+        summary = replay(events, config, oracle_every=1)
+        for key in totals:
+            totals[key] += summary[key]
     return {
         "suite": "equivalence",
         "seeds": seeds,
         "updates": updates,
-        "events": events,
         **totals,
-        "passed": not any(totals.values()),
+        "passed": not any(totals[key] for key in CHECKS),
     }
 
 

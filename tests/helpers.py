@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from dynmatch.core import RANK_SCALE, UNMATCHED_RANK, Rank, edge_key, make_rank
+from dynmatch.replay import CHECKS
 
 
 def brute_max_matching(n: int, edges) -> int:
@@ -63,3 +64,8 @@ def unpack_rank(rank: Rank) -> tuple[int, int, int]:
     """(value, lo, hi) of a packed rank."""
     tie = rank % RANK_SCALE
     return rank >> 64, tie >> 32, tie & 0xFFFFFFFF
+
+
+def violations(summary: dict) -> dict[str, int]:
+    """The non-zero check counts of a replay summary ({} when all pass)."""
+    return {key: summary[key] for key in CHECKS if summary[key]}

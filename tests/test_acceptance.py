@@ -13,10 +13,10 @@ import pytest
 
 from dynmatch.core import Instance, InstanceConfig, edge_key
 from dynmatch.exact import IncrementalMatching
+from dynmatch.replay import CHECKS, replay
 from dynmatch.rgmm import MatchingState, build_static
 from dynmatch.streams import StreamSpec, generate_stream
 from dynmatch.suites import (
-    run_equivalence_stream,
     suite_partition_augmentation,
     suite_pivot_level,
     suite_sampling_lemma,
@@ -152,10 +152,14 @@ def c2_data():
     totals: Counter = Counter()
     for levels in C2_LEVELS:
         for seed in range(C2_SEEDS):
-            totals.update(run_equivalence_stream(
-                C2_N, C2_DELTA, levels, C2_UPDATES,
-                stream_seed=9000 + seed, algo_seed=9500 + 10 * levels + seed,
-            ))
+            events = generate_stream(
+                StreamSpec("erdos-churn", C2_N, C2_DELTA, C2_UPDATES, 9000 + seed)
+            )
+            config = InstanceConfig(
+                C2_N, C2_DELTA, levels, algo_seed=9500 + 10 * levels + seed
+            )
+            summary = replay(events, config, oracle_every=1)
+            totals.update({key: summary[key] for key in ("checkpoints", *CHECKS)})
     return totals
 
 
@@ -181,7 +185,7 @@ def test_c02_pipeline_oracle_equivalence(c2_data):
         2, passed,
         f"{C2_SEEDS} seeds x {C2_UPDATES} updates, L in {C2_LEVELS} "
         f"(n={C2_N}, delta={C2_DELTA}): {c2_data['mismatches']} mismatches "
-        f"over {c2_data['events']} checkpoints",
+        f"over {c2_data['checkpoints']} checkpoints",
     )
     assert passed
 
@@ -297,7 +301,7 @@ def test_c11_final_matcher_contract(c2_data):
     _print(
         11, passed,
         f"no augmenting path of length <= 2k-1 and |answer| >= k/(k+1) mu(union) "
-        f"at every of {c2_data['events']} checkpoints: "
+        f"at every of {c2_data['checkpoints']} checkpoints: "
         f"{c2_data['short_path_violations']} path violations, "
         f"{c2_data['union_ratio_violations']} ratio violations",
     )

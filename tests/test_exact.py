@@ -5,8 +5,11 @@ import pytest
 
 from dynmatch.core import edge_key
 from dynmatch.errors import OracleLimitError
-from dynmatch.exact import IncrementalMatching, max_matching_exact
-from dynmatch.suites import has_short_augmenting_path
+from dynmatch.exact import (
+    IncrementalMatching,
+    has_short_augmenting_path,
+    max_matching_exact,
+)
 
 from helpers import brute_max_matching
 
@@ -128,3 +131,10 @@ class TestIncremental:
                 witness = inc.matching()
                 assert len(witness) == inc.size
         assert all(free_ends[c] for c in (0, 1, 2)), free_ends
+
+
+def test_suites_reexports_the_short_path_oracle():
+    # perfbench imports it from dynmatch.suites
+    from dynmatch.suites import has_short_augmenting_path as reexported
+
+    assert reexported is has_short_augmenting_path

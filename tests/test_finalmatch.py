@@ -6,12 +6,11 @@ import pytest
 
 from dynmatch.core import Instance, InstanceConfig, edge_key
 from dynmatch.errors import ConsistencyError
-from dynmatch.exact import max_matching_exact
+from dynmatch.exact import has_short_augmenting_path, max_matching_exact
 from dynmatch.finalmatch import UnionMatcher
 from dynmatch.pipeline import Pipeline
 from dynmatch.rgmm import EMPTY_DELTA, DeltaList
 from dynmatch.streams import StreamSpec, generate_stream
-from dynmatch.suites import has_short_augmenting_path
 
 
 class TestBasics:

@@ -12,12 +12,12 @@ from dynmatch.errors import (
     LoopEdgeError,
     UnknownOpError,
 )
-from dynmatch.exact import max_matching_exact
 from dynmatch.pipeline import _PARTNER, Pipeline, Role
 from dynmatch.reference import _ADMITTED, static_reference
+from dynmatch.replay import replay
 from dynmatch.rgmm import EMPTY_DELTA
 from dynmatch.streams import StreamSpec, generate_stream
-from dynmatch.suites import run_equivalence_stream
+from helpers import violations
 
 
 def fresh(n=8, delta=8, levels=2, seed=5, **kw):
@@ -328,17 +328,10 @@ class TestRebuild:
 
 class TestStreamEquivalence:
     def test_random_stream_matches_reference(self):
-        res = run_equivalence_stream(
-            32, 16, 2, 200, stream_seed=71, algo_seed=72,
-        )
-        assert res["mismatches"] == 0
-        assert res["stability_violations"] == 0
-        assert res["events"] == 200
-        assert res["short_path_violations"] == 0
-        assert res["union_ratio_violations"] == 0
-        assert res["maximality_violations"] == 0
-        assert res["half_mu_violations"] == 0
-        assert res["answer_below_m0"] == 0
+        events = generate_stream(StreamSpec("erdos-churn", 32, 16, 200, 71))
+        summary = replay(events, InstanceConfig(32, 16, 2, algo_seed=72), oracle_every=1)
+        assert summary["events"] == summary["checkpoints"] == 200
+        assert violations(summary) == {}
 
     @pytest.mark.parametrize(
         "generator,n,delta,params",
@@ -351,14 +344,11 @@ class TestStreamEquivalence:
         ],
     )
     def test_other_generators_match_reference(self, generator, n, delta, params):
+        # every check after every update, reference equality among them
         events = generate_stream(StreamSpec(generator, n, delta, 150, 81, params))
-        inst = Instance(InstanceConfig(n, delta, 2, algo_seed=82))
-        pipe = Pipeline(inst)
-        for ev in events:
-            pipe.handle_update(ev.op, ev.u, ev.v)
-            assert pipe.snapshot() == static_reference(
-                inst.records.values(), inst.tapes, inst.config
-            )
+        summary = replay(events, InstanceConfig(n, delta, 2, algo_seed=82), oracle_every=1)
+        assert summary["checkpoints"] == len(events)
+        assert violations(summary) == {}
 
     def test_insert_only_build_any_order_matches_reference(self):
         rng = random.Random(55)
@@ -372,15 +362,12 @@ class TestStreamEquivalence:
         )
 
     def test_answer_and_base_sizes_bound_mu(self):
-        inst, pipe = fresh(n=20, delta=10, levels=2, seed=61)
+        # maximality, |M_0| >= mu/2 and |answer| >= |M_0| are three of the
+        # checks replay makes after every update
         events = generate_stream(StreamSpec("erdos-churn", 20, 10, 150, 62))
-        for ev in events:
-            pipe.handle_update(ev.op, ev.u, ev.v)
-            m0 = len(pipe.base.matching)
-            mu = max_matching_exact(20, inst.records.keys()).size
-            assert pipe.base.is_maximal()
-            assert 2 * m0 >= mu
-            assert len(pipe.current_answer()) >= m0
+        summary = replay(events, InstanceConfig(20, 10, 2, algo_seed=61), oracle_every=1)
+        assert summary["checkpoints"] == 150
+        assert violations(summary) == {}
 
     def test_union_degree_bound(self):
         inst, pipe = fresh(n=20, delta=10, levels=3, seed=63)

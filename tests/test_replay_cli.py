@@ -1,16 +1,25 @@
+import importlib
 import json
 from types import SimpleNamespace
 
 import pytest
 
 from dynmatch.cli import main
-from dynmatch.core import MAX_LEVELS, Instance, InstanceConfig
+from dynmatch.core import MAX_LEVELS, MAX_VERTICES, Instance, InstanceConfig, edge_key
 from dynmatch.errors import ConfigError, OracleLimitError, ReplayError
-from dynmatch.exact import DEFAULT_ORACLE_LIMIT
+from dynmatch.exact import DEFAULT_ORACLE_LIMIT, max_matching_exact
 from dynmatch.pipeline import Pipeline
 from dynmatch.replay import _percentile, replay
 from dynmatch.streams import StreamSpec, UpdateEvent, generate_stream
 from dynmatch.suites import run_validation
+from helpers import violations
+
+# The package's `replay` function shadows the submodule of that name, so
+# monkeypatch paths go through the module object.
+REPLAY_MODULE = importlib.import_module("dynmatch.replay")
+
+#: A delta_cap far above any vertex count: 1 followed by 400 zeros.
+HUGE_DELTA = 10**400
 
 
 class TestReplay:
@@ -100,6 +109,29 @@ class TestReplay:
             outs.append(recs)
         assert outs[0] == outs[1]
 
+    def test_final_mu_is_mu_of_the_final_graph(self):
+        # 150 events at oracle_every=100: the last checkpoint comes after the
+        # last update, not at update 100
+        events = generate_stream(StreamSpec("erdos-churn", 60, 8, 150, 1))
+        summary = replay(events, InstanceConfig(60, 8, 2, algo_seed=1), oracle_every=100)
+        live = set()
+        for ev in events:
+            (live.add if ev.op == "ins" else live.discard)(edge_key(ev.u, ev.v))
+        mu = max_matching_exact(60, live).size
+        assert summary["checkpoints"] == 2
+        assert summary["final_mu"] == mu
+        assert summary["final_ratio"] == summary["final_answer"] / mu
+
+    def test_desk_scale_stream_passes_every_check(self):
+        # the sparse-levels shape: n=2000, L=4, sample_p=0.12
+        events = generate_stream(
+            StreamSpec("erdos-churn", 2000, 32, 6000, 1, {"target_edges": 4000})
+        )
+        config = InstanceConfig(2000, 32, 4, sample_p=0.12, algo_seed=1)
+        summary = replay(events, config, oracle_every=1000)
+        assert summary["checkpoints"] == 6
+        assert violations(summary) == {}
+
     def test_oracle_limit_checked_before_any_event(self, tmp_path):
         events = [UpdateEvent("ins", 0, 1, 0)]
         path = tmp_path / "metrics.jsonl"
@@ -109,6 +141,14 @@ class TestReplay:
         assert not path.exists()
         summary = replay(events, config, oracle_every=0)
         assert summary["events"] == 1
+
+
+def test_delta_cap_above_the_vertex_limit_is_refused():
+    InstanceConfig(4, MAX_VERTICES, 2).validate()
+    with pytest.raises(ConfigError, match="delta_cap must lie in"):
+        InstanceConfig(4, MAX_VERTICES + 1, 2).validate()
+    with pytest.raises(ConfigError, match="delta_cap must lie in"):
+        replay([UpdateEvent("ins", 0, 1, 0)], InstanceConfig(4, HUGE_DELTA, 2))
 
 
 def test_percentile_is_nearest_rank():
@@ -137,6 +177,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert "exceeds the exact oracle limit 2000" in captured.err
         assert captured.out == ""
+
+    def test_run_exits_1_when_a_check_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(REPLAY_MODULE, "static_reference", lambda *args: {})
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 1}\n{"op": "ins", "u": 2, "v": 3}\n')
+        assert self._run(stream, "--oracle-every", "1") == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["checkpoints"] == summary["mismatches"] == 2
+        assert violations(summary) == {"mismatches": 2}
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--levels", "2"],
+        ["validate", "--suite", "equivalence"],
+    ])
+    def test_huge_delta_is_refused(self, tmp_path, capsys, command):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
+        if command[0] == "run":
+            command = [*command, "--stream", str(stream)]
+        assert main([*command, "--delta", str(HUGE_DELTA)]) == 2
+        assert "delta_cap must lie in" in self._one_error_line(capsys)
 
     def test_run_malformed_stream_names_the_line(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
@@ -351,9 +412,7 @@ def test_run_validation_refuses_a_count_below_one(suite, key, value):
 
 
 def test_equivalence_fails_on_a_short_augmenting_path(monkeypatch):
-    monkeypatch.setattr(
-        "dynmatch.suites.has_short_augmenting_path", lambda *args: True
-    )
+    monkeypatch.setattr(REPLAY_MODULE, "has_short_augmenting_path", lambda *args: True)
     report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
     assert report["short_path_violations"] == report["events"] == 30
     assert report["passed"] is False
@@ -362,7 +421,7 @@ def test_equivalence_fails_on_a_short_augmenting_path(monkeypatch):
 def test_equivalence_fails_when_m0_is_below_half_mu(monkeypatch):
     # mu cannot exceed n/2, so n + 1 is above 2|M_0| on every update
     monkeypatch.setattr(
-        "dynmatch.suites.max_matching_exact",
+        REPLAY_MODULE, "max_matching_exact",
         lambda n, edges: SimpleNamespace(size=n + 1, witness=set()),
     )
     report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
