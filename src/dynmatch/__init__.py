@@ -24,7 +24,7 @@ from .finalmatch import UnionMatcher
 from .pipeline import Pipeline, Role, UpdateReport
 from .reference import static_reference
 from .replay import replay
-from .rgmm import DeltaList, MatchingState, build_static
+from .rgmm import DeltaList, MatchingState
 from .streams import StreamSpec, UpdateEvent, generate_stream, read_stream, write_stream
 from .suites import run_validation
 
@@ -51,7 +51,6 @@ __all__ = [
     "replay",
     "DeltaList",
     "MatchingState",
-    "build_static",
     "StreamSpec",
     "UpdateEvent",
     "generate_stream",

@@ -138,7 +138,8 @@ class Pipeline:
         return self.union.matching()
 
     def snapshot(self) -> dict:
-        """Full comparable state (the shape the static reference also builds)."""
+        """Full comparable state as plain data, roles as their `Role.value`
+        codes: the shape the static reference also builds."""
         members: dict[int, set[EdgeKey]] = {i: set() for i in self.levels}
         k = self.base.k
         for key in self.base.matching:
@@ -146,7 +147,7 @@ class Pipeline:
         return {
             "m0": self.base.snapshot(),
             "members": {i: frozenset(keys) for i, keys in members.items()},
-            "roles": {i: tuple(self.role[i]) for i in self.role},
+            "roles": {i: tuple(r.value for r in row) for i, row in self.role.items()},
             "g_edges": {i: ls.state.rank_of for i, ls in self.levels.items()},
             "m_i": {i: ls.state.snapshot() for i, ls in self.levels.items()},
             "union": dict(self.union.mult),

@@ -1,8 +1,10 @@
 """Static reference construction: the whole layered state built from scratch.
 
-A pure function of (edge records, vertex tapes, config).  The dynamic engine
-must agree with this after every update; the equivalence suite compares the
-two snapshot dicts directly.
+A pure function of (edge records, vertex tapes, config), written independently
+of the engine it checks: it imports only `core` (config, thresholds and
+records), runs its own greedy over rank-sorted edge lists into plain dicts,
+and writes role codes of its own.  `replay`'s checkpoints and perfbench
+compare it with `Pipeline.snapshot()`, which emits the same plain shape.
 """
 
 from __future__ import annotations
@@ -10,18 +12,50 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .core import EdgeKey, EdgeRecord, InstanceConfig, Rank, thresholds_for
-from .pipeline import Role
-from .rgmm import build_static
 
-#: The paper's level filter, stated independently of the engine: an edge
-#: enters G_i when one endpoint is a V side at level i and the other is the U
-#: side of the same class (V_A with U_A, V_B with U_B).
-_ADMITTED = {
-    (Role.V_A, Role.U_A),
-    (Role.U_A, Role.V_A),
-    (Role.V_B, Role.U_B),
-    (Role.U_B, Role.V_B),
-}
+#: Role codes, equal to the engine's `Role.value` strings.
+U_A, U_B, V_A, V_B, ABSENT = "UA", "UB", "VA", "VB", "-"
+
+#: The paper's level filter: an edge enters G_i when one endpoint is a V side
+#: at level i and the other is the U side of the same class (V_A with U_A,
+#: V_B with U_B).
+_ADMITTED = {(V_A, U_A), (U_A, V_A), (V_B, U_B), (U_B, V_B)}
+
+
+def bulk_greedy(us: list[int], vs: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Greedy matching over edges (us[i], vs[i]) already sorted by rank.
+
+    Returns (kpos, matched_positions): kpos[v] is the scan position at which
+    v got matched (len(us) when unmatched), which is a faithful stand-in for
+    the matched rank since positions follow rank order.
+    """
+    m = len(us)
+    kpos = [m] * n
+    matched: list[int] = []
+    for idx in range(m):
+        a = us[idx]
+        b = vs[idx]
+        if kpos[a] == m and kpos[b] == m:
+            kpos[a] = idx
+            kpos[b] = idx
+            matched.append(idx)
+    return kpos, matched
+
+
+def greedy_snapshot(edges: dict[EdgeKey, Rank], n: int) -> dict:
+    """The greedy matching of `edges` (key -> rank) over n vertices, as
+    plain data: the edges, the matching and k (vertex -> matched rank)."""
+    order = sorted(edges, key=edges.__getitem__)
+    _, taken = bulk_greedy([u for u, _ in order], [v for _, v in order], n)
+    matching: set[EdgeKey] = set()
+    k: dict[int, Rank] = {}
+    for idx in taken:
+        key = order[idx]
+        rank = edges[key]
+        matching.add(key)
+        k[key[0]] = rank
+        k[key[1]] = rank
+    return {"edges": edges, "matching": matching, "k": k}
 
 
 def level_by_scan(rank: Rank, thresholds: list[Rank]) -> int:
@@ -46,61 +80,58 @@ def static_reference(
     """
     config.validate()
     records = list(records)
-    by_key = {rec.key: rec for rec in records}
     thresholds = thresholds_for(config.delta_cap, config.levels)
-    levels = config.levels
+    levels = range(1, config.levels + 1)
     n = config.n
 
-    base = build_static((rec.key, rec.ranks[0]) for rec in records)
+    m0 = greedy_snapshot({rec.key: rec.ranks[0] for rec in records}, n)
 
     # Rank partition of the base matching and the level of each vertex
     # (0 = unmatched).
-    members: dict[int, set[EdgeKey]] = {i: set() for i in range(1, levels + 1)}
+    members: dict[int, set[EdgeKey]] = {i: set() for i in levels}
     match_level = [0] * n
-    for key in base.matching:
-        lvl = level_by_scan(base.k[key[0]], thresholds)
+    for key in m0["matching"]:
+        lvl = level_by_scan(m0["k"][key[0]], thresholds)
         members[lvl].add(key)
         match_level[key[0]] = lvl
         match_level[key[1]] = lvl
 
-    roles: dict[int, list[Role]] = {}
-    for i in range(1, levels + 1):
-        row: list[Role] = []
-        for v in range(n):
-            lv = match_level[v]
-            if lv < i:
-                row.append(Role.U_A if tapes[v][i - 1] == 0 else Role.U_B)
-            elif lv > i:
-                row.append(Role.ABSENT)
-            else:
-                key = base.matched[v]
-                if not by_key[key].sampled[i - 1]:
-                    row.append(Role.ABSENT)
-                else:
-                    row.append(Role.V_A if v == key[0] else Role.V_B)
-        roles[i] = row
+    # Below its match level a vertex is absent, above it on the U side of its
+    # tape's coin; at it, the V side of its end of the M_0 edge (the lower id
+    # is V_A) when the edge's record sampled it there, else absent.
+    sampled = {rec.key: rec.sampled for rec in records}
+    roles: dict[int, tuple[str, ...]] = {}
+    for i in levels:
+        row = [
+            ABSENT if lv >= i else U_A if tape[i - 1] == 0 else U_B
+            for lv, tape in zip(match_level, tapes)
+        ]
+        for a, b in members[i]:
+            if sampled[(a, b)][i - 1]:
+                row[a] = V_A
+                row[b] = V_B
+        roles[i] = tuple(row)
 
-    g_edges: dict[int, dict[EdgeKey, object]] = {i: {} for i in range(1, levels + 1)}
-    for rec in records:
-        u, v = rec.key
-        for i in range(1, levels + 1):
-            if (roles[i][u], roles[i][v]) in _ADMITTED:
-                g_edges[i][rec.key] = rec.ranks[i]
-
-    m_i = {i: build_static(g_edges[i].items()) for i in range(1, levels + 1)}
+    g_edges = {
+        i: {
+            rec.key: rec.ranks[i]
+            for rec in records
+            if (roles[i][rec.key[0]], roles[i][rec.key[1]]) in _ADMITTED
+        }
+        for i in levels
+    }
+    m_i = {i: greedy_snapshot(g_edges[i], n) for i in levels}
 
     union: dict[EdgeKey, int] = {}
-    for key in base.matching:
-        union[key] = union.get(key, 0) + 1
-    for i in range(1, levels + 1):
-        for key in m_i[i].matching:
+    for snap in (m0, *m_i.values()):
+        for key in snap["matching"]:
             union[key] = union.get(key, 0) + 1
 
     return {
-        "m0": base.snapshot(),
-        "members": {i: frozenset(members[i]) for i in members},
-        "roles": {i: tuple(roles[i]) for i in roles},
+        "m0": m0,
+        "members": {i: frozenset(members[i]) for i in levels},
+        "roles": roles,
         "g_edges": g_edges,
-        "m_i": {i: m_i[i].snapshot() for i in m_i},
+        "m_i": m_i,
         "union": union,
     }

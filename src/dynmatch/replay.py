@@ -7,10 +7,15 @@ counts its violations (`CHECKS`, in order): the pipeline differs from
 `static_reference`; a level above the update's trigger level differs from its
 copy taken just before the update (one per level); M_0 is not maximal;
 |M_0| < mu(G)/2; |answer| < |M_0|; the union graph holds an augmenting path
-of at most 2k-1 edges; |answer| < k/(k+1) mu(union).
+of at most 2k-1 edges; |answer| < k/(k+1) mu(union); the answer is not a
+matching inside the union graph.  Maximality and the last check read the
+edge sets, not engine methods.
 
 Metrics are one JSON object per update (append-only, parseable on their own);
-the summary aggregates timing, quality figures and the check counts.
+a checkpoint's line carries its per-check counts under `checks`.  The summary
+aggregates timing, quality figures and the check counts, and `first_failure`
+names the first checkpoint that failed a check: its event's `seq` and the
+checks that failed there (`null` when none did).
 Wall-clock fields aside, a replay is a pure function of (stream, algo config).
 """
 
@@ -33,7 +38,7 @@ from .streams import UpdateEvent
 CHECKS = (
     "mismatches", "stability_violations", "maximality_violations",
     "half_mu_violations", "answer_below_m0", "short_path_violations",
-    "union_ratio_violations",
+    "union_ratio_violations", "answer_matching_violations",
 )
 
 
@@ -46,32 +51,43 @@ def _percentile(sorted_vals: Sequence[int], q: float) -> int:
 
 
 def _check(
-    pipe: Pipeline, before: dict, trigger_level: int | None, counts: dict[str, int]
-) -> int:
-    """Make every check on `pipe` just after an update, adding each violation
-    to `counts`; return mu(G).  `before` maps each level to a copy of its
+    pipe: Pipeline, before: dict, trigger_level: int | None
+) -> tuple[dict[str, int], int]:
+    """Make every check on `pipe` just after an update; return each check's
+    violation count and mu(G).  `before` maps each level to a copy of its
     state taken just before the update."""
     inst = pipe.inst
     config = inst.config
     k = config.answer_depth()
+    found = dict.fromkeys(CHECKS, 0)
     mu = max_matching_exact(config.n, inst.records.keys()).size
     ref = static_reference(inst.records.values(), inst.tapes, config)
-    counts["mismatches"] += pipe.snapshot() != ref
+    found["mismatches"] = int(pipe.snapshot() != ref)
     if trigger_level is not None:
-        for i in range(trigger_level + 1, config.levels + 1):
-            counts["stability_violations"] += before[i] != pipe.levels[i].state
+        found["stability_violations"] = sum(
+            before[i] != pipe.levels[i].state
+            for i in range(trigger_level + 1, config.levels + 1)
+        )
+    covered = {v for key in pipe.base.matching for v in key}
+    found["maximality_violations"] = int(any(
+        u not in covered and v not in covered for u, v in inst.records
+    ))
     m0 = len(pipe.base.matched) // 2
     answer = pipe.union.size()
+    answer_edges = pipe.current_answer()
     union_edges = pipe.union.edges()
     mu_union = max_matching_exact(config.n, union_edges).size
-    counts["maximality_violations"] += not pipe.base.is_maximal()
-    counts["half_mu_violations"] += 2 * m0 < mu
-    counts["answer_below_m0"] += answer < m0
-    counts["short_path_violations"] += has_short_augmenting_path(
-        union_edges, pipe.current_answer(), 2 * k - 1
+    found["half_mu_violations"] = int(2 * m0 < mu)
+    found["answer_below_m0"] = int(answer < m0)
+    found["short_path_violations"] = int(
+        has_short_augmenting_path(union_edges, answer_edges, 2 * k - 1)
     )
-    counts["union_ratio_violations"] += answer * (k + 1) < mu_union * k
-    return mu
+    found["union_ratio_violations"] = int(answer * (k + 1) < mu_union * k)
+    endpoints = [v for key in answer_edges for v in key]
+    found["answer_matching_violations"] = int(
+        not answer_edges <= union_edges or len(endpoints) != len(set(endpoints))
+    )
+    return found, mu
 
 
 def replay(
@@ -105,6 +121,7 @@ def replay(
     adjusts: list[int] = []
     ratios: list[float] = []
     counts = dict.fromkeys(CHECKS, 0)
+    first_failure: dict | None = None
     records = 0
     last_mu: int | None = None
     try:
@@ -123,8 +140,14 @@ def replay(
             answer = pipe.union.size()
             mu = None
             ratio = None
+            found = None
             if check:
-                mu = _check(pipe, before, report.trigger_level, counts)
+                found, mu = _check(pipe, before, report.trigger_level)
+                failed = [name for name in CHECKS if found[name]]
+                for name in failed:
+                    counts[name] += found[name]
+                if failed and first_failure is None:
+                    first_failure = {"seq": ev.seq, "checks": failed}
                 ratio = answer / mu if mu else 1.0
                 ratios.append(ratio)
                 last_mu = mu
@@ -146,6 +169,7 @@ def replay(
                     "m0_delta": report.adjustment_complexity(),
                     "level_deltas": sizes,
                     "lv_probe": report.candidate_probes,
+                    "checks": found,
                     "ns": report.elapsed_ns,
                 }
                 out.write(json.dumps(rec) + "\n")
@@ -179,6 +203,7 @@ def replay(
         "final_ratio": ratios[-1] if ratios else None,
         "checkpoints": len(ratios),
         **counts,
+        "first_failure": first_failure,
     }
     return summary
 

@@ -161,13 +161,6 @@ class MatchingState:
         out.sort()
         return [key for _, key in out]
 
-    def is_maximal(self) -> bool:
-        matched = self.matched
-        return all(
-            u in matched or all(x in matched for x in adj)
-            for u, adj in self.index.items()
-        )
-
     def snapshot(self) -> dict:
         """Edges with their ranks, the matching and k, as fresh copies.  The
         eliminators are a function of these, so they are not repeated."""
@@ -317,20 +310,3 @@ class MatchingState:
                 if best is not None:
                     heappush(heap, (best[0], best[1], w, best[2]))
         self.counters["pops"] += pops
-
-
-def build_static(edges: Iterable[tuple[EdgeKey, Rank]]) -> MatchingState:
-    """Construct the greedy matching of an edge set from scratch.
-
-    A pure function of the (edge set, ranking) input: edges are scanned in
-    increasing rank order and an edge joins whenever both endpoints are free.
-    """
-    state = MatchingState()
-    items = sorted(edges, key=lambda item: item[1])
-    matched = state.matched
-    for key, rank in items:
-        u, v = key
-        if u not in matched and v not in matched:
-            state._match(key, rank)
-        state._index_add(key, rank)
-    return state

@@ -2,7 +2,9 @@
 
 Everything here is read-only with respect to its inputs and reproducible
 from the seeds it is given.  Monte Carlo validators report mean and standard
-error and never gate tighter than three standard errors.
+error and never gate tighter than three standard errors.  Their greedy
+matchings come from `reference.bulk_greedy`, the one static greedy loop in
+the package.
 """
 
 from __future__ import annotations
@@ -16,31 +18,7 @@ import numpy as np
 from .core import RANK_SCALE, EdgeKey, level_of_rank, thresholds_for
 from .errors import ConfigError, ConsistencyError
 from .exact import max_matching_exact
-
-
-# ---------------------------------------------------------------------------
-# bulk greedy helpers (array in, array out; used by the large static audits)
-# ---------------------------------------------------------------------------
-
-
-def _bulk_greedy(us: list[int], vs: list[int], n: int) -> tuple[list[int], list[int]]:
-    """Greedy matching over edges already sorted by rank.
-
-    Returns (kpos, matched_positions): kpos[v] is the scan position at which
-    v got matched (len(us) when unmatched), which is a faithful stand-in for
-    the matched rank since positions follow rank order.
-    """
-    m = len(us)
-    kpos = [m] * n
-    matched: list[int] = []
-    for idx in range(m):
-        a = us[idx]
-        b = vs[idx]
-        if kpos[a] == m and kpos[b] == m:
-            kpos[a] = idx
-            kpos[b] = idx
-            matched.append(idx)
-    return kpos, matched
+from .reference import bulk_greedy
 
 
 def _random_distinct_pairs(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +78,7 @@ def audit_sparsification(
         ranks = rng.integers(0, RANK_SCALE, size=m, dtype=np.uint64)
         order = np.argsort(ranks, kind="stable")
         su, sv = us[order], vs[order]
-        kpos, _ = _bulk_greedy(su.tolist(), sv.tolist(), n)
+        kpos, _ = bulk_greedy(su.tolist(), sv.tolist(), n)
         kpos_arr = np.array(kpos, dtype=np.int64)
         elim_pos = np.minimum(kpos_arr[su], kpos_arr[sv])
         rank_by_pos = ranks[order]
@@ -165,13 +143,10 @@ def validate_vertex_sampling(
     samples: list[int] = []
     for _ in range(trials):
         keep = (rng.random(v_count) < p).tolist()
-        v_taken = [False] * v_count
-        u_taken = [False] * u_count
-        for v, u in ordered:
-            if keep[v] and not v_taken[v] and not u_taken[u]:
-                v_taken[v] = True
-                u_taken[u] = True
-        samples.append(sum(1 for v in m_vs if v_taken[v]))
+        # u-side vertices follow the v side in one index space
+        kept = [(v, v_count + u) for v, u in ordered if keep[v]]
+        kpos, _ = bulk_greedy([v for v, _ in kept], [u for _, u in kept], v_count + u_count)
+        samples.append(sum(1 for v in m_vs if kpos[v] < len(kept)))
     return _sampling_stats(samples, p * (len(matching) - 2 * p * v_count))
 
 
@@ -246,7 +221,7 @@ def validate_partition_augmentation(
             (u, v) for (u, v, j, side) in cands if sampled[j] and coin[u] == side
         ]
         order = np.argsort(rng.random(len(present))).tolist()
-        kpos, _ = _bulk_greedy(
+        kpos, _ = bulk_greedy(
             [present[i][0] for i in order], [present[i][1] for i in order], 4 * count
         )
         m = len(present)  # kpos value of an unmatched vertex
@@ -373,7 +348,7 @@ def clique_pm_layers(
     thresholds = thresholds_for(n_total // 2, levels)
     rank0 = rng.integers(0, RANK_SCALE, size=len(us), dtype=np.uint64)
     order = np.argsort(rank0, kind="stable")
-    _, matched_pos = _bulk_greedy(us[order].tolist(), vs[order].tolist(), n_total)
+    _, matched_pos = bulk_greedy(us[order].tolist(), vs[order].tolist(), n_total)
     m0 = order[matched_pos]
     m0_level = [level_of_rank(r << 64, thresholds) for r in rank0[m0].tolist()]
     sampled = rng.random(len(m0)) < sample_p
@@ -404,7 +379,7 @@ def clique_pm_layers(
         cand = np.nonzero(mask)[0]
         pi = rng.integers(0, RANK_SCALE, size=len(cand), dtype=np.uint64)
         sub = cand[np.argsort(pi, kind="stable")]
-        _, taken = _bulk_greedy(us[sub].tolist(), vs[sub].tolist(), n_total)
+        _, taken = bulk_greedy(us[sub].tolist(), vs[sub].tolist(), n_total)
         build.codes[i] = code
         build.g[i] = cand
         build.pi[i] = pi

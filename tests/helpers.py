@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 
 from dynmatch.core import RANK_SCALE, UNMATCHED_RANK, Rank, edge_key, make_rank
+from dynmatch.reference import greedy_snapshot
 from dynmatch.replay import CHECKS
+from dynmatch.rgmm import MatchingState
 
 
 def brute_max_matching(n: int, edges) -> int:
@@ -45,6 +47,36 @@ def random_stream(rng: random.Random, n: int, steps: int, delete_p: float = 0.4)
             rank = make_rank(rng.getrandbits(64), *key)
             present[key] = rank
             yield "ins", key, rank
+
+
+def insert_all(edges) -> MatchingState:
+    """A maintained greedy matching built by inserting (key, rank) pairs in
+    the given order."""
+    state = MatchingState()
+    for key, rank in edges:
+        state.apply_insert(key, rank)
+    return state
+
+
+def assert_is_greedy(state: MatchingState, edges: dict) -> None:
+    """`state` is the greedy matching of `edges` (key -> rank): its snapshot
+    equals the reference greedy's, and its index and per-vertex matched edges
+    are exactly those the edge set and that matching fix."""
+    n = 1 + max((key[1] for key in edges), default=-1)
+    want = greedy_snapshot(dict(edges), n)
+    assert state.snapshot() == want
+    index: dict = {}
+    for (u, v), rank in edges.items():
+        index.setdefault(u, {})[v] = rank
+        index.setdefault(v, {})[u] = rank
+    assert state.index == index
+    assert state.matched == {v: key for key in want["matching"] for v in key}
+
+
+def is_maximal(matching, edges) -> bool:
+    """No edge of `edges` has both endpoints free in `matching`."""
+    covered = {v for key in matching for v in key}
+    return all(u in covered or v in covered for u, v in edges)
 
 
 def rank_at(fraction: float, key=(0, 1)) -> Rank:

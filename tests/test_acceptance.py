@@ -14,7 +14,7 @@ import pytest
 from dynmatch.core import Instance, InstanceConfig, edge_key
 from dynmatch.exact import IncrementalMatching
 from dynmatch.replay import CHECKS, replay
-from dynmatch.rgmm import MatchingState, build_static
+from dynmatch.rgmm import MatchingState
 from dynmatch.streams import StreamSpec, generate_stream
 from dynmatch.suites import (
     suite_partition_augmentation,
@@ -23,6 +23,7 @@ from dynmatch.suites import (
     suite_sparsification,
 )
 from dynmatch.validators import clique_pm_static_experiment
+from helpers import assert_is_greedy, is_maximal
 
 C1_SEEDS = 10
 C1_UPDATES = 2000
@@ -97,7 +98,7 @@ def c1_data():
                 oracle.insert(*key)
             else:
                 oracle.delete(*key)
-            if not state.is_maximal():
+            if not is_maximal(state.matching, live_rank):
                 maximal_bad += 1
             if len(state.matched) < oracle.size:  # 2|M_0| < mu
                 half_mu_bad += 1
@@ -129,9 +130,9 @@ def c1_data():
                         break
             if not ok:
                 mismatches += 1
-            # keep the inlined oracle honest against the real constructor
+            # keep the inlined oracle honest against the reference greedy
             if step % 400 == 399:
-                assert state == build_static(live_rank.items())
+                assert_is_greedy(state, live_rank)
     elapsed = time.perf_counter() - t0 - check_s
     return {
         "mismatches": mismatches,
@@ -297,12 +298,15 @@ def test_c11_final_matcher_contract(c2_data):
     passed = (
         c2_data["short_path_violations"] == 0
         and c2_data["union_ratio_violations"] == 0
+        and c2_data["answer_matching_violations"] == 0
     )
     _print(
         11, passed,
-        f"no augmenting path of length <= 2k-1 and |answer| >= k/(k+1) mu(union) "
+        f"the answer is a matching inside the union, with no augmenting path "
+        f"of length <= 2k-1 and |answer| >= k/(k+1) mu(union), "
         f"at every of {c2_data['checkpoints']} checkpoints: "
         f"{c2_data['short_path_violations']} path violations, "
-        f"{c2_data['union_ratio_violations']} ratio violations",
+        f"{c2_data['union_ratio_violations']} ratio violations, "
+        f"{c2_data['answer_matching_violations']} matching violations",
     )
     assert passed

@@ -254,9 +254,11 @@ class TestRoles:
         for ev in events:
             pipe.handle_update(ev.op, ev.u, ev.v)
             want = static_reference(inst.records.values(), inst.tapes, inst.config)
-            assert {i: tuple(row) for i, row in pipe.role.items()} == want["roles"]
+            assert {
+                i: tuple(r.value for r in row) for i, row in pipe.role.items()
+            } == want["roles"]
             v_roles += sum(
-                role in (Role.V_A, Role.V_B)
+                role in (Role.V_A.value, Role.V_B.value)
                 for row in want["roles"].values() for role in row
             )
             k = pipe.base.k
@@ -267,7 +269,8 @@ class TestRoles:
             for key in inst.records:
                 admitting = [
                     i for i in range(1, levels + 1)
-                    if (pipe.role[i][key[0]], pipe.role[i][key[1]]) in _ADMITTED
+                    if (pipe.role[i][key[0]].value, pipe.role[i][key[1]].value)
+                    in _ADMITTED
                 ]
                 assert len(admitting) <= 1
                 admitted += len(admitting)

@@ -9,7 +9,8 @@ from dynmatch.core import MAX_LEVELS, MAX_VERTICES, Instance, InstanceConfig, ed
 from dynmatch.errors import ConfigError, OracleLimitError, ReplayError
 from dynmatch.exact import DEFAULT_ORACLE_LIMIT, max_matching_exact
 from dynmatch.pipeline import Pipeline
-from dynmatch.replay import _percentile, replay
+from dynmatch.replay import CHECKS, _percentile, replay
+from dynmatch.rgmm import MatchingState
 from dynmatch.streams import StreamSpec, UpdateEvent, generate_stream
 from dynmatch.suites import run_validation
 from helpers import violations
@@ -94,7 +95,10 @@ class TestReplay:
         assert len(oracle_recs) == 5
         for r in oracle_recs:
             assert r["answer"] <= r["mu"]
+            assert r["checks"] == dict.fromkeys(CHECKS, 0)
+        assert all(r["checks"] is None for r in recs if r["mu"] is None)
         assert summary["min_ratio"] is not None
+        assert summary["first_failure"] is None
 
     def test_metrics_deterministic_up_to_wall_clock(self, tmp_path):
         events = generate_stream(StreamSpec("erdos-churn", 12, 6, 60, seed=4))
@@ -186,6 +190,7 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["checkpoints"] == summary["mismatches"] == 2
         assert violations(summary) == {"mismatches": 2}
+        assert summary["first_failure"] == {"seq": 0, "checks": ["mismatches"]}
 
     @pytest.mark.parametrize("command", [
         ["run", "--levels", "2"],
@@ -427,6 +432,42 @@ def test_equivalence_fails_when_m0_is_below_half_mu(monkeypatch):
     report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
     assert report["half_mu_violations"] == 30
     assert report["passed"] is False
+
+
+def test_equivalence_fails_when_the_answer_is_not_a_matching(monkeypatch):
+    # (0, 1) and (1, 2) share vertex 1, so the answer is never a matching
+    monkeypatch.setattr(
+        Pipeline, "current_answer", lambda self: self.union.matching() | {(0, 1), (1, 2)}
+    )
+    report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
+    assert report["answer_matching_violations"] == report["events"] == 30
+    assert report["passed"] is False
+
+
+def _snapshot_dropping_a_third_of_k(self):
+    k = dict(self.k)
+    for v in sorted(k)[::3]:
+        del k[v]
+    return {"edges": self.rank_of, "matching": self.matching, "k": k}
+
+
+def _matching_dropping_a_fifth(self):
+    keys = sorted(set(self.matched.values()))
+    return set(keys) - set(keys[::5])
+
+
+@pytest.mark.parametrize("attr, mutant", [
+    ("snapshot", _snapshot_dropping_a_third_of_k),
+    ("matching", property(_matching_dropping_a_fifth)),
+])
+def test_reference_equality_catches_a_broken_state_view(monkeypatch, attr, mutant):
+    # the static reference builds its own state, so a view of the engine's
+    # state that loses entries cannot also break the side it is compared with
+    monkeypatch.setattr(MatchingState, attr, mutant)
+    events = generate_stream(StreamSpec("erdos-churn", 32, 16, 200, 1000))
+    summary = replay(events, InstanceConfig(32, 16, 2, algo_seed=2000), oracle_every=1)
+    assert summary["mismatches"] > 0
+    assert "mismatches" in summary["first_failure"]["checks"]
 
 
 def test_run_validation_allows_zero_noise():

@@ -7,9 +7,18 @@ from hypothesis import strategies as st
 
 from dynmatch.core import UNMATCHED_RANK, edge_key, make_rank
 from dynmatch.errors import DuplicateEdgeError, EdgeNotFoundError
-from dynmatch.rgmm import EMPTY_DELTA, MatchingState, build_static
+from dynmatch.reference import greedy_snapshot
+from dynmatch.rgmm import EMPTY_DELTA, MatchingState
 
-from helpers import elim_rank, random_stream, rank_at, unpack_rank
+from helpers import (
+    assert_is_greedy,
+    elim_rank,
+    insert_all,
+    is_maximal,
+    random_stream,
+    rank_at,
+    unpack_rank,
+)
 
 
 def ranked(*triples):
@@ -18,32 +27,43 @@ def ranked(*triples):
 
 
 class TestBuildStatic:
+    """Hand cases of the greedy matching, on a state built by inserts and on
+    the reference greedy."""
+
     def test_path_lower_rank_wins(self):
         edges = ranked((1, 2, 0.2), (2, 3, 0.5))
-        st_ = build_static(edges)
+        st_ = insert_all(edges)
+        assert_is_greedy(st_, dict(edges))
         assert st_.matching == {(1, 2)}
         assert elim_rank(st_.k, (2, 3)) == rank_at(0.2, (1, 2))
         assert elim_rank(st_.k, (1, 2)) == rank_at(0.2, (1, 2))
 
     def test_triangle(self):
         edges = ranked((0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3))
-        st_ = build_static(edges)
+        st_ = insert_all(edges)
+        assert_is_greedy(st_, dict(edges))
         assert st_.matching == {(0, 1)}
         assert elim_rank(st_.k, (1, 2)) == rank_at(0.1, (0, 1))
         assert elim_rank(st_.k, (0, 2)) == rank_at(0.1, (0, 1))
 
     def test_empty(self):
-        st_ = build_static([])
+        st_ = insert_all([])
         assert st_.matching == set()
         assert st_.k == {} and st_.index == {}
+        assert greedy_snapshot({}, 0) == st_.snapshot()
 
     def test_deterministic_function_of_input(self):
+        # the maintained state depends on the edge set only, not on the
+        # order the edges were inserted in
         rng = random.Random(3)
         edges = [
             (edge_key(u, v), rank_at(rng.random(), edge_key(u, v)))
             for u, v in {(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)}
         ]
-        assert build_static(edges) == build_static(reversed(edges))
+        st_ = insert_all(edges)
+        assert st_ == insert_all(reversed(edges))
+        assert st_ == insert_all(sorted(edges, key=lambda item: item[1]))
+        assert_is_greedy(st_, dict(edges))
 
 
 class TestApplyInsert:
@@ -100,7 +120,7 @@ class TestApplyDelete:
             st_.apply_delete((1, 2))
         assert st_ == MatchingState()
         # both endpoints are indexed, the edge between them is not
-        st_ = build_static(ranked((0, 1, 0.1), (1, 2, 0.2)))
+        st_ = insert_all(ranked((0, 1, 0.1), (1, 2, 0.2)))
         before = copy.deepcopy(st_)
         with pytest.raises(EdgeNotFoundError):
             st_.apply_delete((0, 2))
@@ -110,7 +130,7 @@ class TestApplyDelete:
     def test_delete_under_reversed_key_rejected(self, key):
         # an edge is present only under its (lo, hi) key; (1, 2) is matched
         # and (2, 3) is not
-        st_ = build_static(ranked((1, 2, 0.2), (2, 3, 0.5)))
+        st_ = insert_all(ranked((1, 2, 0.2), (2, 3, 0.5)))
         assert st_.matching == {(1, 2)}
         before = copy.deepcopy(st_)
         with pytest.raises(EdgeNotFoundError):
@@ -162,16 +182,16 @@ class TestEmptyDelta:
 
 class TestNeighborsAbove:
     def test_threshold_zero_returns_all(self):
-        st_ = build_static(ranked((0, 1, 0.2), (0, 2, 0.5), (0, 3, 0.9)))
+        st_ = insert_all(ranked((0, 1, 0.2), (0, 2, 0.5), (0, 3, 0.9)))
         got = set(st_.neighbors_above(0, rank_at(0.0, (0, 0))))
         assert got == {(0, 1), (0, 2), (0, 3)}
 
     def test_threshold_above_everything_is_empty(self):
-        st_ = build_static(ranked((0, 1, 0.2)))
+        st_ = insert_all(ranked((0, 1, 0.2)))
         assert st_.neighbors_above(0, UNMATCHED_RANK) == []
 
     def test_star_all_eliminators_equal_center_match(self):
-        st_ = build_static(
+        st_ = insert_all(
             ranked((0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3), (0, 4, 0.4))
         )
         assert st_.matching == {(0, 1)}
@@ -267,7 +287,7 @@ class TestOracleEquivalence:
             else:
                 st_.apply_delete(key)
                 del edges[key]
-            assert st_ == build_static(edges.items())
+            assert_is_greedy(st_, edges)
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
@@ -283,7 +303,7 @@ class TestOracleEquivalence:
             else:
                 st_.apply_delete(key)
                 del edges[key]
-        assert st_ == build_static(edges.items())
+        assert_is_greedy(st_, edges)
 
     def test_tiebreak_only_ordering(self):
         # every edge shares one rank value; the order is purely the key
@@ -306,7 +326,7 @@ class TestOracleEquivalence:
                 rank = rank_at(0.5, key)
                 st_.apply_insert(key, rank)
                 edges[key] = rank
-            assert st_ == build_static(edges.items())
+            assert_is_greedy(st_, edges)
 
     def test_delta_applies_old_to_new(self):
         rng = random.Random(13)
@@ -349,8 +369,13 @@ class TestInvariants:
         return st_, history
 
     def test_maximality(self):
+        # against the churn's own edge set, replayed from the same seed
         st_, _ = self._churn(1)
-        assert st_.is_maximal()
+        live = set()
+        for op, key, _ in random_stream(random.Random(1), 10, 150):
+            (live.add if op == "ins" else live.remove)(key)
+        assert live and st_.matching <= live
+        assert is_maximal(st_.matching, live)
 
     def test_eliminator_definition(self):
         # the eliminator of an edge is the lowest-rank matched edge touching

@@ -1,5 +1,7 @@
+import ast
 import random
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from dynmatch.core import EdgeRecord, Instance, InstanceConfig, edge_key, make_r
 from dynmatch.errors import ConfigError
 from dynmatch.exact import max_matching_exact
 from dynmatch.pipeline import Role
+from dynmatch import reference
 from dynmatch.reference import static_reference
 from dynmatch.validators import (
     audit_sparsification,
@@ -25,6 +28,27 @@ from dynmatch.validators import (
 
 
 class TestStaticReference:
+    def test_imports_no_engine_module(self):
+        # the oracle stays independent of the engine it checks: of the
+        # package, it imports only `core` (config, thresholds and records)
+        tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+        package = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level == 0:
+                    if not module.startswith("dynmatch"):
+                        continue  # the standard library
+                    module = module.partition(".")[2]
+                # `from . import x` names the module x
+                package.update([module] if module else [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                package.update(
+                    a.name.partition(".")[2] or a.name
+                    for a in node.names if a.name.startswith("dynmatch")
+                )
+        assert package == {"core"}
+
     def test_empty_graph(self):
         config = InstanceConfig(4, 4, 2, algo_seed=1)
         inst = Instance(config)
@@ -217,7 +241,9 @@ class TestCliquePmExperiment:
     def test_layers_match_static_reference(self, n_total, levels, sample_p):
         # the experiment's own draws, handed to the oracle as edge records
         # and vertex tapes, must rebuild every layer the experiment built
-        role_of_code = (Role.ABSENT, Role.U_A, Role.U_B, Role.V_A, Role.V_B)
+        role_of_code = tuple(
+            r.value for r in (Role.ABSENT, Role.U_A, Role.U_B, Role.V_A, Role.V_B)
+        )
         us, vs = clique_pm_edges(n_total)
         keys = list(zip(us.tolist(), vs.tolist()))
         config = InstanceConfig(n_total, n_total // 2, levels, sample_p=sample_p)
