@@ -2,8 +2,10 @@
 
 Public surface: the core instance (graph storage and random tapes), the
 dynamically maintained greedy matching, the layered pipeline, the final
-matcher over the union, exact and statistical oracles, and the stream /
-replay harness.
+matcher over the union, the exact and static oracles, and the stream
+generators.  The harness is imported from its own modules:
+`dynmatch.replay`, `dynmatch.suites` (which loads numpy through
+`dynmatch.validators`) and `dynmatch.cli`.
 """
 
 from .core import (
@@ -23,10 +25,8 @@ from .exact import ExactMatchingResult, IncrementalMatching, max_matching_exact
 from .finalmatch import UnionMatcher
 from .pipeline import Pipeline, Role, UpdateReport
 from .reference import static_reference
-from .replay import replay
 from .rgmm import DeltaList, MatchingState
 from .streams import StreamSpec, UpdateEvent, generate_stream, read_stream, write_stream
-from .suites import run_validation
 
 __all__ = [
     "EdgeKey",
@@ -48,7 +48,6 @@ __all__ = [
     "Role",
     "UpdateReport",
     "static_reference",
-    "replay",
     "DeltaList",
     "MatchingState",
     "StreamSpec",
@@ -56,5 +55,4 @@ __all__ = [
     "generate_stream",
     "read_stream",
     "write_stream",
-    "run_validation",
 ]

@@ -1,4 +1,8 @@
-"""Command-line entry point: stream generation, replay, validation suites."""
+"""Command-line entry point: stream generation, replay, validation suites.
+
+`gen` writes a stream file, `run` replays one through the pipeline, and
+`validate --suite S` runs one fixed suite from `dynmatch.suites`.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from .streams import (
     read_stream,
     write_stream,
 )
-from .suites import SUITES, run_validation
+from .suites import SUITES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,12 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="run a named validation suite")
     val.add_argument("--suite", required=True, choices=sorted(SUITES))
-    val.add_argument("--seeds", type=int, default=None)
-    val.add_argument("--n", type=int, default=None)
-    val.add_argument("--delta", type=int, default=None)
-    val.add_argument("--levels", type=int, default=None)
-    val.add_argument("--updates", type=int, default=None)
-    val.add_argument("--trials", type=int, default=None)
     return parser
 
 
@@ -76,7 +74,9 @@ def main(argv: list[str] | None = None) -> int:
 def _inferred_n(events: list[UpdateEvent]) -> int:
     """1 + the largest vertex id, refused above both 2^16 and four times the
     stream's distinct vertex count: construction sizes the per-vertex tables
-    by n before the first event.  An explicit `--n` is not checked."""
+    by n before the first event.  An explicit `--n` is checked only by
+    `InstanceConfig.validate` (the 32-bit cap and the per-vertex memory
+    budget)."""
     if not events:
         return 1
     top = max(events, key=lambda ev: max(ev.u, ev.v))
@@ -137,12 +137,7 @@ def _run(args: argparse.Namespace) -> int:
         return 1 if any(summary[key] for key in CHECKS) else 0
 
     if args.command == "validate":
-        params = {
-            key: getattr(args, key)
-            for key in ("seeds", "n", "delta", "levels", "updates", "trials")
-            if getattr(args, key) is not None
-        }
-        report = run_validation(args.suite, **params)
+        report = SUITES[args.suite]()
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
         return 0 if report.get("passed") else 1
 

@@ -38,6 +38,12 @@ MAX_VERTICES = 2**32 - 1
 #: Largest level count L (see `InstanceConfig`).
 MAX_LEVELS = 64
 
+#: Budget, in bytes, for the per-vertex tables that `Instance` and `Pipeline`
+#: build before the first event.  They take about 64 + 16 L bytes per vertex
+#: (tracemalloc at n = 10^5 under CPython 3.11: 80/96/128/1089 B at
+#: L = 1/2/4/64), so 2^30 admits about 11 million vertices at L = 2.
+VERTEX_STATE_BUDGET = 2**30
+
 EdgeKey = tuple[int, int]
 
 #: A packed rank, `value << 64 | lo << 32 | hi` (see the module docstring).
@@ -148,6 +154,13 @@ class InstanceConfig:
         if not 1 <= self.levels <= MAX_LEVELS:
             raise ConfigError(
                 f"levels must lie in [1, {MAX_LEVELS}], got {self.levels}"
+            )
+        need = self.n * (64 + 16 * self.levels)
+        if need > VERTEX_STATE_BUDGET:
+            raise ConfigError(
+                f"vertex count {self.n} at levels {self.levels} needs about "
+                f"{need} bytes of per-vertex state, above the "
+                f"{VERTEX_STATE_BUDGET}-byte budget"
             )
         if not 0.0 < self.sample_p < 0.125:
             raise ConfigError("sample_p must lie in (0, 1/8)")

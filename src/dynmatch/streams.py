@@ -56,9 +56,6 @@ class _Mirror:
     def __len__(self) -> int:
         return len(self.present)
 
-    def __contains__(self, key: EdgeKey) -> bool:
-        return key in self.slot
-
     def add(self, key: EdgeKey) -> None:
         self.slot[key] = len(self.present)
         self.present.append(key)

@@ -1,29 +1,28 @@
 """Named validation suites behind `dynmatch validate` and the acceptance tests.
 
-Each suite returns a report dict with a boolean "passed"; the CLI maps that
-to the exit status.  Each check is defined here once, and the acceptance
-criteria in tests/test_acceptance.py call it:
+Each suite takes no parameters: it runs its acceptance criterion at fixed
+sizes and seeds and returns a report dict with a boolean "passed"; the CLI
+maps that to the exit status.  Each check is defined here once, and the
+acceptance criteria in tests/test_acceptance.py call it:
 
 - `sparsification`, `sampling-lemma`, `partition-augmentation` and
-  `pivot-level` at their defaults are criteria 05, 07, 08 and 09, draw for
-  draw.
-- `equivalence` is the one suite for the pipeline: it replays erdos-churn
-  streams with `replay(..., oracle_every=1)`, so every check is made after
-  every update, and it passes only when every count is zero.  Criteria 02,
-  03, 04 (the pipeline half) and 11 make the same `replay` call at n=64
-  over L in {2, 3} with their own seeds.
+  `pivot-level` are criteria 05, 07, 08 and 09, draw for draw.
+- `equivalence` is criteria 02, 03, 04 (the pipeline half) and 11, draw
+  for draw: it replays erdos-churn streams with `replay(..., oracle_every=1)`,
+  so every check is made after every update, and it passes only when every
+  count is zero.
 
-Criteria 01, 04's n=500 half, 06 and 10 have no suite.
+Criteria 01, 04's n=500 half, 06 and 10 have no suite.  Another stream size
+is checked with `dynmatch gen` and `dynmatch run --oracle-every 1`.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 from typing import Callable
 
 from .core import InstanceConfig
-from .errors import ConfigError, ConsistencyError, DynMatchError
+from .errors import ConsistencyError
 # has_short_augmenting_path is re-exported: perfbench imports it from here.
 from .exact import has_short_augmenting_path, max_matching_exact  # noqa: F401
 from .replay import CHECKS, replay
@@ -37,24 +36,25 @@ from .validators import (
 )
 
 
-def suite_equivalence(
-    n: int = 32,
-    delta: int = 16,
-    levels: int = 2,
-    updates: int = 200,
-    seeds: int = 10,
-) -> dict:
-    totals = dict.fromkeys(("events", *CHECKS), 0)
+def suite_equivalence() -> dict:
+    n, delta, updates, seeds, levels = 64, 16, 500, 10, (2, 3)
+    totals = dict.fromkeys(("events", "checkpoints", *CHECKS), 0)
     for s in range(seeds):
-        config = InstanceConfig(n, delta, levels, algo_seed=2000 + s)
         events = generate_stream(
-            StreamSpec("erdos-churn", n, delta, updates, 1000 + s, {})
+            StreamSpec("erdos-churn", n, delta, updates, 9000 + s)
         )
-        summary = replay(events, config, oracle_every=1)
-        for key in totals:
-            totals[key] += summary[key]
+        for level_count in levels:
+            config = InstanceConfig(
+                n, delta, level_count, algo_seed=9500 + 10 * level_count + s
+            )
+            summary = replay(events, config, oracle_every=1)
+            for key in totals:
+                totals[key] += summary[key]
     return {
         "suite": "equivalence",
+        "n": n,
+        "delta": delta,
+        "levels": levels,
         "seeds": seeds,
         "updates": updates,
         **totals,
@@ -62,23 +62,19 @@ def suite_equivalence(
     }
 
 
-def suite_sparsification(
-    n: int = 2000,
-    m: int = 20000,
-    trials: int = 30,
-    gate: float = 4.0,
-) -> dict:
-    report = audit_sparsification(n=n, m=m, trials=trials, seed=7, gate=gate)
+def suite_sparsification() -> dict:
+    report = audit_sparsification(seed=7)
     return {
         "suite": "sparsification",
         "max_degree": {str(p): d for p, d in report.max_degree.items()},
         "fitted_c": report.fitted_c,
-        "gate": gate,
+        "gate": report.gate,
         "passed": report.passed,
     }
 
 
-def suite_sampling_lemma(trials: int = 10000, instances: int = 20) -> dict:
+def suite_sampling_lemma() -> dict:
+    trials = 10000
     results = []
     # Complete bipartite K_{8,8} with a perfect matching, p = 0.25.
     edges = [(v, u) for v in range(8) for u in range(8)]
@@ -89,7 +85,7 @@ def suite_sampling_lemma(trials: int = 10000, instances: int = 20) -> dict:
          "passed": stats.passed}
     )
     rng = random.Random(23)
-    for idx in range(instances):
+    for idx in range(20):
         vc = rng.randint(4, 32)
         uc = rng.randint(4, 32)
         density = rng.uniform(0.1, 0.5)
@@ -119,11 +115,10 @@ def suite_sampling_lemma(trials: int = 10000, instances: int = 20) -> dict:
     }
 
 
-def suite_partition_augmentation(
-    size: int = 5000, trials: int = 200, noise: int = 2500
-) -> dict:
-    gadget = augmentation_gadget(size, noise=noise, seed=5)
-    stats = validate_partition_augmentation(gadget, p=0.03, trials=trials, seed=6)
+def suite_partition_augmentation() -> dict:
+    size = 5000
+    gadget = augmentation_gadget(size, noise=2500, seed=5)
+    stats = validate_partition_augmentation(gadget, p=0.03, trials=200, seed=6)
     return {
         "suite": "partition-augmentation",
         "size": size,
@@ -134,7 +129,8 @@ def suite_partition_augmentation(
     }
 
 
-def suite_pivot_level(vectors: int = 10000) -> dict:
+def suite_pivot_level() -> dict:
+    vectors = 10000
     rng = random.Random(17)
     failures = 0
     for levels in (2, 3, 4):
@@ -160,32 +156,10 @@ def suite_pivot_level(vectors: int = 10000) -> dict:
     }
 
 
-SUITES: dict[str, Callable[..., dict]] = {
+SUITES: dict[str, Callable[[], dict]] = {
     "equivalence": suite_equivalence,
     "sparsification": suite_sparsification,
     "sampling-lemma": suite_sampling_lemma,
     "partition-augmentation": suite_partition_augmentation,
     "pivot-level": suite_pivot_level,
 }
-
-
-def run_validation(suite: str, **params) -> dict:
-    """Run one named suite.  A parameter the suite does not take, or a count
-    below 1 (on which a suite crashes or checks nothing), is a `ConfigError`
-    that names it, raised before the suite starts."""
-    if suite not in SUITES:
-        raise DynMatchError(
-            f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
-        )
-    fn = SUITES[suite]
-    accepted = inspect.signature(fn).parameters
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise ConfigError(
-            f"suite {suite!r} does not take {', '.join(unknown)}; "
-            f"it takes {', '.join(accepted)}"
-        )
-    for key in ("seeds", "trials", "updates", "vectors", "instances", "size", "m", "n"):
-        if params.get(key, 1) < 1:
-            raise ConfigError(f"suite {suite!r}: {key} must be >= 1, got {params[key]}")
-    return fn(**params)

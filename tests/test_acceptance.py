@@ -7,16 +7,15 @@ shared by the criteria that read different aspects of the same runs.
 import bisect
 import math
 import time
-from collections import Counter
 
 import pytest
 
 from dynmatch.core import Instance, InstanceConfig, edge_key
 from dynmatch.exact import IncrementalMatching
-from dynmatch.replay import CHECKS, replay
 from dynmatch.rgmm import MatchingState
 from dynmatch.streams import StreamSpec, generate_stream
 from dynmatch.suites import (
+    suite_equivalence,
     suite_partition_augmentation,
     suite_pivot_level,
     suite_sampling_lemma,
@@ -30,12 +29,6 @@ C1_UPDATES = 2000
 C1_N = 500
 C1_DELTA = 32
 C1_TARGET_M = 1200
-
-C2_SEEDS = 10
-C2_UPDATES = 500
-C2_N = 64
-C2_DELTA = 16
-C2_LEVELS = (2, 3)
 
 
 def _print(criterion: int, passed: bool, detail: str) -> None:
@@ -144,24 +137,15 @@ def c1_data():
 
 
 # ---------------------------------------------------------------------------
-# criterion 2 artifacts: full pipeline vs the static reference
+# criteria 2, 3, 4 and 11 artifacts: full pipeline vs the static reference
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def c2_data():
-    totals: Counter = Counter()
-    for levels in C2_LEVELS:
-        for seed in range(C2_SEEDS):
-            events = generate_stream(
-                StreamSpec("erdos-churn", C2_N, C2_DELTA, C2_UPDATES, 9000 + seed)
-            )
-            config = InstanceConfig(
-                C2_N, C2_DELTA, levels, algo_seed=9500 + 10 * levels + seed
-            )
-            summary = replay(events, config, oracle_every=1)
-            totals.update({key: summary[key] for key in ("checkpoints", *CHECKS)})
-    return totals
+    """The equivalence suite's report: n=64 replays with every check made
+    after every update."""
+    return suite_equivalence()
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +168,9 @@ def test_c02_pipeline_oracle_equivalence(c2_data):
     passed = c2_data["mismatches"] == 0
     _print(
         2, passed,
-        f"{C2_SEEDS} seeds x {C2_UPDATES} updates, L in {C2_LEVELS} "
-        f"(n={C2_N}, delta={C2_DELTA}): {c2_data['mismatches']} mismatches "
+        f"{c2_data['seeds']} seeds x {c2_data['updates']} updates, "
+        f"L in {c2_data['levels']} (n={c2_data['n']}, delta={c2_data['delta']}): "
+        f"{c2_data['mismatches']} mismatches "
         f"over {c2_data['checkpoints']} checkpoints",
     )
     assert passed

@@ -9,6 +9,7 @@ from dynmatch.core import (
     MAX_LEVELS,
     MAX_VERTICES,
     RANK_SCALE,
+    VERTEX_STATE_BUDGET,
     Instance,
     InstanceConfig,
     UNMATCHED_RANK,
@@ -62,11 +63,23 @@ class TestConfig:
             make_instance(**kw)
 
     def test_vertex_universe_capped_at_32_bit_ids(self):
-        InstanceConfig(MAX_VERTICES, 4, 2).validate()
+        with pytest.raises(ConfigError, match="budget"):
+            InstanceConfig(MAX_VERTICES, 4, 2).validate()
         with pytest.raises(ConfigError, match="exceeds"):
             InstanceConfig(2**32, 4, 2).validate()
         with pytest.raises(ConfigError):
             Instance(InstanceConfig(2**32, 4, 2))
+
+    @pytest.mark.parametrize("levels", [1, 2, 4, MAX_LEVELS])
+    def test_vertex_state_budget(self, levels):
+        # validated only: no test builds an instance this large
+        largest = VERTEX_STATE_BUDGET // (64 + 16 * levels)
+        InstanceConfig(largest, 4, levels).validate()
+        with pytest.raises(ConfigError) as err:
+            InstanceConfig(largest + 1, 4, levels).validate()
+        message = str(err.value)
+        assert f"vertex count {largest + 1} at levels {levels}" in message
+        assert f"{VERTEX_STATE_BUDGET}-byte budget" in message
 
     def test_levels_capped(self):
         InstanceConfig(4, 4, MAX_LEVELS).validate()

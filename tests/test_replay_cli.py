@@ -1,23 +1,30 @@
-import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import dynmatch.replay as replay_module
+import dynmatch.suites as suites
 from dynmatch.cli import main
-from dynmatch.core import MAX_LEVELS, MAX_VERTICES, Instance, InstanceConfig, edge_key
+from dynmatch.core import (
+    MAX_LEVELS,
+    MAX_VERTICES,
+    VERTEX_STATE_BUDGET,
+    Instance,
+    InstanceConfig,
+    edge_key,
+)
 from dynmatch.errors import ConfigError, OracleLimitError, ReplayError
 from dynmatch.exact import DEFAULT_ORACLE_LIMIT, max_matching_exact
 from dynmatch.pipeline import Pipeline
 from dynmatch.replay import CHECKS, _percentile, replay
 from dynmatch.rgmm import MatchingState
 from dynmatch.streams import StreamSpec, UpdateEvent, generate_stream
-from dynmatch.suites import run_validation
 from helpers import violations
-
-# The package's `replay` function shadows the submodule of that name, so
-# monkeypatch paths go through the module object.
-REPLAY_MODULE = importlib.import_module("dynmatch.replay")
 
 #: A delta_cap far above any vertex count: 1 followed by 400 zeros.
 HUGE_DELTA = 10**400
@@ -183,7 +190,7 @@ class TestCli:
         assert captured.out == ""
 
     def test_run_exits_1_when_a_check_fails(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(REPLAY_MODULE, "static_reference", lambda *args: {})
+        monkeypatch.setattr(replay_module, "static_reference", lambda *args: {})
         stream = tmp_path / "s.jsonl"
         stream.write_text('{"op": "ins", "u": 0, "v": 1}\n{"op": "ins", "u": 2, "v": 3}\n')
         assert self._run(stream, "--oracle-every", "1") == 1
@@ -192,16 +199,11 @@ class TestCli:
         assert violations(summary) == {"mismatches": 2}
         assert summary["first_failure"] == {"seq": 0, "checks": ["mismatches"]}
 
-    @pytest.mark.parametrize("command", [
-        ["run", "--levels", "2"],
-        ["validate", "--suite", "equivalence"],
-    ])
+    @pytest.mark.parametrize("command", [["run", "--levels", "2"]])
     def test_huge_delta_is_refused(self, tmp_path, capsys, command):
         stream = tmp_path / "s.jsonl"
         stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
-        if command[0] == "run":
-            command = [*command, "--stream", str(stream)]
-        assert main([*command, "--delta", str(HUGE_DELTA)]) == 2
+        assert main([*command, "--stream", str(stream), "--delta", str(HUGE_DELTA)]) == 2
         assert "delta_cap must lie in" in self._one_error_line(capsys)
 
     def test_run_malformed_stream_names_the_line(self, tmp_path, capsys):
@@ -366,72 +368,63 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"passed": true' in out
 
-    def test_validate_rejects_a_parameter_the_suite_does_not_take(self, capsys):
-        rc = main(["validate", "--suite", "pivot-level", "--trials", "5"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        assert "pivot-level" in lines[0] and "trials" in lines[0]
-
-    def test_validate_equivalence_small(self):
-        rc = main([
-            "validate", "--suite", "equivalence",
-            "--n", "12", "--delta", "6", "--updates", "60", "--seeds", "2",
-        ])
-        assert rc == 0
-
-    @pytest.mark.parametrize("suite, flag, value", [
-        ("sampling-lemma", "--trials", "0"),
-        ("partition-augmentation", "--trials", "0"),
-        ("partition-augmentation", "--trials", "-3"),
-        ("equivalence", "--seeds", "0"),
-        ("equivalence", "--updates", "0"),
-        ("sparsification", "--n", "0"),
+    @pytest.mark.parametrize("flag", [
+        "--seeds", "--n", "--delta", "--levels", "--updates", "--trials",
     ])
-    def test_validate_refuses_a_count_below_one(self, suite, flag, value, capsys):
-        rc = main(["validate", "--suite", suite, flag, value])
+    def test_validate_takes_only_the_suite(self, flag):
+        # each suite runs at fixed sizes; another size is a `gen` + `run`
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--suite", "pivot-level", flag, "5"])
+        assert exc.value.code == 2
+
+    def test_run_refuses_an_n_above_the_vertex_state_budget(self, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
+        summary = tmp_path / "summary.json"
+        # refused by the config check, before any per-vertex table is built
+        n = VERTEX_STATE_BUDGET // (64 + 16 * 4) + 1
+        rc = main([
+            "run", "--stream", str(stream), "--levels", "4", "--delta", "8",
+            "--n", str(n), "--oracle-every", "0", "--summary", str(summary),
+        ])
         assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        assert flag[2:] in lines[0] and value in lines[0]
+        line = self._one_error_line(capsys)
+        assert f"vertex count {n} at levels 4" in line
+        assert str(VERTEX_STATE_BUDGET) in line
+        assert not summary.exists()
 
 
-@pytest.mark.parametrize("suite, key, value", [
-    ("sampling-lemma", "trials", 0),
-    ("sampling-lemma", "instances", 0),
-    ("partition-augmentation", "trials", 0),
-    ("partition-augmentation", "size", 0),
-    ("sparsification", "m", 0),
-    ("sparsification", "trials", -3),
-    ("pivot-level", "vectors", 0),
-    ("equivalence", "seeds", 0),
-    ("equivalence", "updates", 0),
-])
-def test_run_validation_refuses_a_count_below_one(suite, key, value):
-    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
-        run_validation(suite, **{key: value})
+def test_engine_imports_no_numpy():
+    # numpy is loaded only by the statistical validators, never by the
+    # engine or the replay harness
+    code = (
+        "import sys, dynmatch.pipeline, dynmatch.replay as m; "
+        "assert m.__name__ == 'dynmatch.replay', m; "
+        "assert 'numpy' not in sys.modules"
+    )
+    src = str(Path(replay_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _small_replay() -> dict:
+    events = generate_stream(StreamSpec("erdos-churn", 12, 6, 30, 1000))
+    return replay(events, InstanceConfig(12, 6, 2, algo_seed=2000), oracle_every=1)
 
 
 def test_equivalence_fails_on_a_short_augmenting_path(monkeypatch):
-    monkeypatch.setattr(REPLAY_MODULE, "has_short_augmenting_path", lambda *args: True)
-    report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
-    assert report["short_path_violations"] == report["events"] == 30
-    assert report["passed"] is False
+    monkeypatch.setattr(replay_module, "has_short_augmenting_path", lambda *args: True)
+    summary = _small_replay()
+    assert summary["short_path_violations"] == summary["events"] == 30
 
 
 def test_equivalence_fails_when_m0_is_below_half_mu(monkeypatch):
     # mu cannot exceed n/2, so n + 1 is above 2|M_0| on every update
     monkeypatch.setattr(
-        REPLAY_MODULE, "max_matching_exact",
+        replay_module, "max_matching_exact",
         lambda n, edges: SimpleNamespace(size=n + 1, witness=set()),
     )
-    report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
-    assert report["half_mu_violations"] == 30
-    assert report["passed"] is False
+    assert _small_replay()["half_mu_violations"] == 30
 
 
 def test_equivalence_fails_when_the_answer_is_not_a_matching(monkeypatch):
@@ -439,8 +432,22 @@ def test_equivalence_fails_when_the_answer_is_not_a_matching(monkeypatch):
     monkeypatch.setattr(
         Pipeline, "current_answer", lambda self: self.union.matching() | {(0, 1), (1, 2)}
     )
-    report = run_validation("equivalence", n=12, delta=6, updates=30, seeds=1)
-    assert report["answer_matching_violations"] == report["events"] == 30
+    summary = _small_replay()
+    assert summary["answer_matching_violations"] == summary["events"] == 30
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_equivalence_suite_fails_on_any_check(monkeypatch, check):
+    def one_failing_check(events, config, oracle_every):
+        counts = dict.fromkeys(CHECKS, 0)
+        counts[check] = 1
+        return {"events": len(events), "checkpoints": len(events), **counts}
+
+    monkeypatch.setattr(suites, "replay", one_failing_check)
+    report = suites.suite_equivalence()
+    # one count per replay: 10 seeds x 2 level counts
+    assert report[check] == 20
+    assert violations(report) == {check: 20}
     assert report["passed"] is False
 
 
@@ -469,7 +476,3 @@ def test_reference_equality_catches_a_broken_state_view(monkeypatch, attr, mutan
     assert summary["mismatches"] > 0
     assert "mismatches" in summary["first_failure"]["checks"]
 
-
-def test_run_validation_allows_zero_noise():
-    report = run_validation("partition-augmentation", size=40, trials=3, noise=0)
-    assert report["size"] == 40
