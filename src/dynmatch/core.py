@@ -39,9 +39,10 @@ MAX_VERTICES = 2**32 - 1
 MAX_LEVELS = 64
 
 #: Budget, in bytes, for the per-vertex tables that `Instance` and `Pipeline`
-#: build before the first event.  They take about 64 + 16 L bytes per vertex
-#: (tracemalloc at n = 10^5 under CPython 3.11: 80/96/128/1089 B at
-#: L = 1/2/4/64), so 2^30 admits about 11 million vertices at L = 2.
+#: build before the first event: an 8-byte slot in each of L + 3 lists, up to
+#: 1/8 list over-allocation and, above L = 8, the tape's own int: at most
+#: 28 + 9 L (+ 48 when L > 8) bytes.  tracemalloc, CPython 3.11, n = 10^5:
+#: 32.1/40.1/56.1/88.2/574.7 B at L = 1/2/4/8/64 (97.1 B at L = 8, n = 100117).
 VERTEX_STATE_BUDGET = 2**30
 
 EdgeKey = tuple[int, int]
@@ -109,13 +110,13 @@ class EdgeRecord:
     """All randomness attached to one arrival of an edge.
 
     `ranks[i]` is the edge's rank in ranking pi_i (0 = base graph, 1..L =
-    second-stage graphs); `sampled[i-1]` is the level-i sampling coin.
-    Re-inserting a deleted edge produces a fresh record.
+    second-stage graphs); bit i-1 of `sampled` is the level-i sampling
+    coin.  Re-inserting a deleted edge produces a fresh record.
     """
 
     key: EdgeKey
     ranks: tuple[Rank, ...]
-    sampled: tuple[bool, ...]
+    sampled: int
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ class InstanceConfig:
             raise ConfigError(
                 f"levels must lie in [1, {MAX_LEVELS}], got {self.levels}"
             )
-        need = self.n * (64 + 16 * self.levels)
+        need = self.n * (28 + 9 * self.levels + (48 if self.levels > 8 else 0))
         if need > VERTEX_STATE_BUDGET:
             raise ConfigError(
                 f"vertex count {self.n} at levels {self.levels} needs about "
@@ -184,16 +185,13 @@ class Instance:
         self.bounds = level_bounds(self.thresholds)
         self._rng = random.Random(config.algo_seed)
         # Vertex tapes are static, so they are drawn up front in index order:
-        # tapes[v][i-1] is the level-i partition coin (0 = A, 1 = B).
-        self.tapes: list[tuple[int, ...]] = [
-            tuple(self._rng.getrandbits(1) for _ in range(config.levels))
-            for _ in range(config.n)
+        # bit i-1 of tapes[v] is the level-i partition coin (0 = A, 1 = B).
+        draw, levels = self._rng.getrandbits, range(config.levels)
+        self.tapes: list[int] = [
+            sum(draw(1) << i for i in levels) for _ in range(config.n)
         ]
         self.records: dict[EdgeKey, EdgeRecord] = {}
         self.deg: list[int] = [0] * config.n
-        # One shared tuple per sampling-coin pattern (there are 2^L), not
-        # one per edge arrival.
-        self._coin_patterns: dict[tuple[bool, ...], tuple[bool, ...]] = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -233,11 +231,11 @@ class Instance:
         tie = lo << 32 | hi
         draw = self._rng.getrandbits
         ranks = tuple([draw(64) << 64 | tie for _ in range(self.config.levels + 1)])
-        sampled = tuple(
-            self._rng.random() < self.config.sample_p
-            for _ in range(self.config.levels)
-        )
-        sampled = self._coin_patterns.setdefault(sampled, sampled)
+        rand, p = self._rng.random, self.config.sample_p
+        sampled = 0
+        for i in range(self.config.levels):
+            if rand() < p:
+                sampled |= 1 << i
         record = EdgeRecord(key, ranks, sampled)
         self.records[key] = record
         self.deg[lo] += 1

@@ -68,8 +68,8 @@ _PARTNER = {
     Role.U_B: Role.V_B,
 }
 
-#: The U-side role of a vertex at level i, indexed by its partition coin
-#: tapes[v][i-1] (0 = A, 1 = B).
+#: The U-side role of a vertex at level i, indexed by its partition coin,
+#: bit i-1 of tapes[v] (0 = A, 1 = B).
 _U_SIDE = (Role.U_A, Role.U_B)
 
 RoleDeltas = dict[int, list[tuple[int, Role, Role]]]
@@ -123,7 +123,7 @@ class Pipeline:
         # On the empty graph every vertex is unmatched, hence on the U side
         # of every level, split by its partition coin.
         self.role: dict[int, list[Role]] = {
-            i: [_U_SIDE[tape[i - 1]] for tape in instance.tapes]
+            i: [_U_SIDE[tape >> i - 1 & 1] for tape in instance.tapes]
             for i in range(1, instance.levels + 1)
         }
         #: Per vertex: 0 when unmatched in M_0, else the level of its M_0 edge.
@@ -272,8 +272,8 @@ class Pipeline:
             lo, hi = (was, lv) if was < lv else (lv, was)
             for i in range(lo or 1, hi + 1):
                 if i > lv:
-                    new = u_side[tape[i - 1]]
-                elif i < lv or not records[key].sampled[i - 1]:
+                    new = u_side[tape >> i - 1 & 1]
+                elif i < lv or not records[key].sampled >> i - 1 & 1:
                     new = absent
                 elif v == key[0]:
                     new = v_a

@@ -71,7 +71,7 @@ def level_by_scan(rank: Rank, thresholds: list[Rank]) -> int:
 
 def static_reference(
     records: Iterable[EdgeRecord],
-    tapes: Sequence[tuple[int, ...]],
+    tapes: Sequence[int],
     config: InstanceConfig,
 ) -> dict:
     """Build the full layered construction from scratch on the given graph and tapes.
@@ -97,17 +97,17 @@ def static_reference(
         match_level[key[1]] = lvl
 
     # Below its match level a vertex is absent, above it on the U side of its
-    # tape's coin; at it, the V side of its end of the M_0 edge (the lower id
-    # is V_A) when the edge's record sampled it there, else absent.
+    # tape's bit i-1; at it, the V side of its end of the M_0 edge (the lower
+    # id is V_A) when bit i-1 of the edge's `sampled` is set, else absent.
     sampled = {rec.key: rec.sampled for rec in records}
     roles: dict[int, tuple[str, ...]] = {}
     for i in levels:
         row = [
-            ABSENT if lv >= i else U_A if tape[i - 1] == 0 else U_B
+            ABSENT if lv >= i else U_B if tape >> i - 1 & 1 else U_A
             for lv, tape in zip(match_level, tapes)
         ]
         for a, b in members[i]:
-            if sampled[(a, b)][i - 1]:
+            if sampled[(a, b)] >> i - 1 & 1:
                 row[a] = V_A
                 row[b] = V_B
         roles[i] = tuple(row)

@@ -170,6 +170,9 @@ def _clique_pm(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
     a pendant perfect matching, then churn over clique edges only."""
     if spec.n % 2:
         raise StreamSpecError("clique-pm needs an even vertex count")
+    if spec.n < 4:
+        # The clique on n/2 = 1 vertex has no edge to churn.
+        raise StreamSpecError("clique-pm needs n >= 4")
     half = spec.n // 2
     if spec.delta < half:
         raise StreamSpecError(
@@ -256,6 +259,11 @@ def _parse_event(line: str, seq: int) -> UpdateEvent:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise bad(f"bad JSON ({exc.msg})") from None
+    except RecursionError:
+        raise bad("bad JSON (nested too deeply)") from None
+    except ValueError:
+        # `int` refuses a literal above CPython's digit limit.
+        raise bad("bad JSON (integer literal too long)") from None
     if not isinstance(obj, dict):
         raise bad("expected a JSON object")
     for name in ("op", "u", "v"):

@@ -40,8 +40,8 @@ class TestConfig:
     def test_tape_shape_forced_by_config(self):
         inst = make_instance(n=4, delta=4, levels=2, seed=7)
         assert len(inst.tapes) == 4
-        assert all(len(t) == 2 for t in inst.tapes)
-        assert all(bit in (0, 1) for t in inst.tapes for bit in t)
+        # bit i-1 holds the level-i coin, so L = 2 leaves only 2 bits
+        assert all(isinstance(t, int) and 0 <= t < 2**2 for t in inst.tapes)
 
     def test_same_config_gives_identical_tapes(self):
         a = make_instance(seed=7)
@@ -73,7 +73,8 @@ class TestConfig:
     @pytest.mark.parametrize("levels", [1, 2, 4, MAX_LEVELS])
     def test_vertex_state_budget(self, levels):
         # validated only: no test builds an instance this large
-        largest = VERTEX_STATE_BUDGET // (64 + 16 * levels)
+        per_vertex = 28 + 9 * levels + (48 if levels > 8 else 0)
+        largest = VERTEX_STATE_BUDGET // per_vertex
         InstanceConfig(largest, 4, levels).validate()
         with pytest.raises(ConfigError) as err:
             InstanceConfig(largest + 1, 4, levels).validate()
@@ -98,8 +99,32 @@ class TestEdgeLifecycle:
         rec = inst.admit_edge(1, 2)
         assert rec.key == (1, 2)
         assert len(rec.ranks) == inst.levels + 1
-        assert len(rec.sampled) == inst.levels
+        assert isinstance(rec.sampled, int)
+        assert 0 <= rec.sampled < 2**inst.levels
         assert all(unpack_rank(r)[1:] == (1, 2) for r in rec.ranks)
+
+    def test_coins_are_bits_in_draw_order(self):
+        # from a fresh Random(algo_seed): bit i-1 of vertex v's tape is the
+        # (v*L + i)-th getrandbits(1); an edge's bit i-1 is random() < p,
+        # drawn after its L + 1 rank draws
+        n, levels, p = 5, 3, 0.12
+        inst = make_instance(n=n, delta=4, levels=levels, seed=3, sample_p=p)
+        rng = random.Random(3)
+        bits = [rng.getrandbits(1) for _ in range(n * levels)]
+        assert inst.tapes == [
+            sum(bits[v * levels + i - 1] << i - 1 for i in range(1, levels + 1))
+            for v in range(n)
+        ]
+        coins_seen = 0
+        for u, v in [(0, 1), (2, 4), (1, 3), (0, 4), (2, 3), (3, 4)]:
+            rec = inst.admit_edge(u, v)
+            values = [rng.getrandbits(64) for _ in range(levels + 1)]
+            coins = [rng.random() < p for _ in range(levels)]
+            assert [unpack_rank(r)[0] for r in rec.ranks] == values
+            assert rec.sampled == sum(c << i for i, c in enumerate(coins))
+            coins_seen += sum(coins)
+        assert 0 < coins_seen < 6 * levels
+        assert 0 < sum(map(int.bit_count, inst.tapes)) < n * levels
 
     def test_ranks_are_not_tracked_by_the_collector(self):
         inst = make_instance(n=6, levels=3)

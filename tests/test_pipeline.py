@@ -1,13 +1,18 @@
+import copy
 import gc
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from dynmatch.core import Instance, InstanceConfig, level_of_rank
 from dynmatch.errors import (
     CapacityError,
     ConfigError,
     DuplicateEdgeError,
+    DynMatchError,
     EdgeNotFoundError,
     LoopEdgeError,
     UnknownOpError,
@@ -125,6 +130,54 @@ class TestRejectedUpdates:
         assert pipe.snapshot() == twin.snapshot()
 
 
+class PipelineMachine(RuleBasedStateMachine):
+    """Random inserts and deletes on a tiny universe.  Vertices are drawn
+    from range(n + 1), so loops, ids outside the universe, duplicate
+    inserts, absent deletes and degree-cap overflows all occur.  A rejected
+    update leaves the state, the records, the degrees and the random
+    generator exactly as they were; an accepted one leaves the state equal
+    to the static reference."""
+
+    @initialize(
+        n=st.integers(2, 8),
+        cap=st.integers(2, 3),
+        levels=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def setup(self, n, cap, levels, seed):
+        self.inst, self.pipe = fresh(n, cap, levels, seed, sample_p=0.12)
+
+    def _state(self):
+        inst = self.inst
+        return (
+            copy.deepcopy(self.pipe.snapshot()),
+            dict(inst.records),
+            list(inst.deg),
+            inst._rng.getstate(),
+        )
+
+    @rule(op=st.sampled_from(["ins", "del"]), data=st.data())
+    def update(self, op, data):
+        inst = self.inst
+        u = data.draw(st.integers(0, inst.n))
+        v = data.draw(st.integers(0, inst.n))
+        before = self._state()
+        try:
+            self.pipe.handle_update(op, u, v)
+        except DynMatchError:
+            assert self._state() == before
+        else:
+            assert self.pipe.snapshot() == static_reference(
+                inst.records.values(), inst.tapes, inst.config
+            )
+
+
+TestPipelineMachine = PipelineMachine.TestCase
+TestPipelineMachine.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)
+
+
 class TestLevelDeltaOrder:
     def test_level_deltas_replay_old_to_new_in_order(self):
         # The union matcher replays report.level_deltas in list order, so
@@ -211,7 +264,7 @@ class TestRoles:
         inst, pipe = fresh(n=4, delta=4, levels=3, seed=1)
         for i in range(1, 4):
             for v in range(4):
-                want = Role.U_A if inst.tapes[v][i - 1] == 0 else Role.U_B
+                want = Role.U_B if inst.tapes[v] >> i - 1 & 1 else Role.U_A
                 assert pipe.role[i][v] is want
 
     def _forced_instance(self, sampled, level, levels=3):
@@ -221,7 +274,7 @@ class TestRoles:
             pipe.handle_update("ins", 0, 1)
             rec = inst.records[(0, 1)]
             lvl = inst.level_of_rank(rec.ranks[0])
-            if lvl == level and rec.sampled[level - 1] == sampled:
+            if lvl == level and bool(rec.sampled >> level - 1 & 1) == sampled:
                 return inst, pipe
         raise AssertionError("no seed produced the requested configuration")
 
@@ -231,7 +284,7 @@ class TestRoles:
         inst, pipe = self._forced_instance(sampled=False, level=2)
         assert pipe.role[1][0] is Role.ABSENT
         assert pipe.role[2][0] is Role.ABSENT
-        want = Role.U_A if inst.tapes[0][2] == 0 else Role.U_B
+        want = Role.U_B if inst.tapes[0] >> 2 & 1 else Role.U_A
         assert pipe.role[3][0] is want
 
     def test_sampled_match_takes_v_side_by_id(self):
@@ -240,7 +293,7 @@ class TestRoles:
         assert pipe.role[1][1] is Role.V_B
         for i in (2, 3):
             for v in (0, 1):
-                want = Role.U_A if inst.tapes[v][i - 1] == 0 else Role.U_B
+                want = Role.U_B if inst.tapes[v] >> i - 1 & 1 else Role.U_A
                 assert pipe.role[i][v] is want
 
     def test_role_determinism_against_recompute(self):

@@ -237,6 +237,16 @@ class TestCli:
         assert len(lines) == 1
         assert f"window >= 1, got {window}" in lines[0]
 
+    def test_gen_rejects_a_clique_pm_with_no_clique_edge(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        rc = main([
+            "gen", "--generator", "clique-pm", "--n", "2", "--delta", "1",
+            "--len", "5", "--out", str(out),
+        ])
+        assert rc == 2
+        assert not out.exists()
+        assert "clique-pm needs n >= 4" in self._one_error_line(capsys)
+
     @pytest.mark.parametrize("generator", ["erdos-churn", "bipartite-churn"])
     def test_gen_rejects_a_negative_target_edges(self, tmp_path, capsys, generator):
         out = tmp_path / "s.jsonl"
@@ -311,6 +321,15 @@ class TestCli:
         assert self._run(stream) == 2
         assert "line 3: not UTF-8" in self._one_error_line(capsys)
 
+    def test_run_stream_nested_past_the_parser_limit_names_the_line(
+        self, tmp_path, capsys
+    ):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"op": "ins", "u": 0, "v": 1}\n' + "[" * 100000 + "\n")
+        assert self._run(stream) == 2
+        line = self._one_error_line(capsys)
+        assert "line 2: bad JSON (nested too deeply)" in line
+
     def test_run_stream_with_negative_ids_names_the_line(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
         stream.write_text('{"op": "ins", "u": -5, "v": -3}\n')
@@ -382,7 +401,7 @@ class TestCli:
         stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
         summary = tmp_path / "summary.json"
         # refused by the config check, before any per-vertex table is built
-        n = VERTEX_STATE_BUDGET // (64 + 16 * 4) + 1
+        n = VERTEX_STATE_BUDGET // (28 + 9 * 4) + 1
         rc = main([
             "run", "--stream", str(stream), "--levels", "4", "--delta", "8",
             "--n", str(n), "--oracle-every", "0", "--summary", str(summary),
@@ -401,6 +420,18 @@ def test_engine_imports_no_numpy():
         "import sys, dynmatch.pipeline, dynmatch.replay as m; "
         "assert m.__name__ == 'dynmatch.replay', m; "
         "assert 'numpy' not in sys.modules"
+    )
+    src = str(Path(replay_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_importing_core_loads_no_other_module():
+    # the package re-exports nothing, so `core` brings in only `errors`
+    code = (
+        "import sys, dynmatch.core; "
+        "loaded = {m for m in sys.modules if m.startswith('dynmatch.')}; "
+        "assert loaded == {'dynmatch.core', 'dynmatch.errors'}, loaded"
     )
     src = str(Path(replay_module.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

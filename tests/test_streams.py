@@ -66,6 +66,8 @@ class TestGenerators:
             generate_stream(StreamSpec("clique-pm", 8, 3, 10, seed=1))
         with pytest.raises(StreamSpecError):
             generate_stream(StreamSpec("clique-pm", 7, 4, 10, seed=1))
+        with pytest.raises(StreamSpecError, match="n >= 4"):
+            generate_stream(StreamSpec("clique-pm", 2, 1, 5, seed=1))
 
     def test_sliding_window_deletes_expired_inserts(self):
         w = 9
@@ -113,6 +115,14 @@ class TestStreamFiles:
              "vertex ids must be non-negative integers"),
             ('{"op": "del", "u": 4, "v": -1}',
              "vertex ids must be non-negative integers"),
+            pytest.param(
+                "[" * 100000, "bad JSON (nested too deeply)", id="deep-nesting"
+            ),
+            pytest.param(
+                '{"op": "ins", "u": ' + "9" * 5000 + ', "v": 1}',
+                "bad JSON (integer literal too long)",
+                id="long-integer",
+            ),
         ],
     )
     def test_malformed_line_names_its_line(self, tmp_path, bad, reason):

@@ -242,19 +242,19 @@ class TestCliquePmExperiment:
                 for j, r in zip(build.g[i].tolist(), build.pi[i].tolist()):
                     values[j][i] = r
                     g_ranks[i][keys[j]] = make_rank(r, *keys[j])
-            sampled = [[False] * levels for _ in keys]
+            sampled = [0] * len(keys)
             for j, lvl, bit in zip(m0, build.m0_level, build.sampled.tolist()):
-                sampled[j][lvl - 1] = bit
+                sampled[j] |= bit << lvl - 1
             records = [
                 EdgeRecord(
                     key,
                     tuple(make_rank(r, *key) for r in values[j]),
-                    tuple(sampled[j]),
+                    sampled[j],
                 )
                 for j, key in enumerate(keys)
             ]
             tapes = [
-                tuple(int(build.coins[i][v]) for i in range(1, levels + 1))
+                sum(int(build.coins[i][v]) << i - 1 for i in range(1, levels + 1))
                 for v in range(n_total)
             ]
             ref = static_reference(records, tapes, config)
