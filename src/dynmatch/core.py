@@ -39,10 +39,11 @@ MAX_VERTICES = 2**32 - 1
 MAX_LEVELS = 64
 
 #: Budget, in bytes, for the per-vertex tables that `Instance` and `Pipeline`
-#: build before the first event: an 8-byte slot in each of L + 3 lists, up to
-#: 1/8 list over-allocation and, above L = 8, the tape's own int: at most
-#: 28 + 9 L (+ 48 when L > 8) bytes.  tracemalloc, CPython 3.11, n = 10^5:
-#: 32.1/40.1/56.1/88.2/574.7 B at L = 1/2/4/8/64 (97.1 B at L = 8, n = 100117).
+#: build before the first event: an 8-byte slot in each of L + 3 lists, each
+#: allocated at its exact length, 4 bytes of room for the fixed-size state
+#: and, above L = 8, the tape's own int (at most 40 bytes for 64 bits): at
+#: most 28 + 8 L (+ 40 when L > 8) bytes.  tracemalloc, CPython 3.11, the same
+#: at n = 10^5 and n = 100117: 32.1/40.1/56.1/88.1/574.1 B at L = 1/2/4/8/64.
 VERTEX_STATE_BUDGET = 2**30
 
 EdgeKey = tuple[int, int]
@@ -54,6 +55,12 @@ Rank = int
 def make_rank(value: int, lo: int, hi: int) -> Rank:
     """Pack a rank value and its edge-key tie-break into one int."""
     return value << 64 | lo << 32 | hi
+
+
+def key_of(rank: Rank) -> EdgeKey:
+    """The edge key (lo, hi) that `rank` packs: the inverse of `make_rank`
+    on the tie-break fields, so a rank names its edge."""
+    return rank >> 32 & 0xFFFFFFFF, rank & 0xFFFFFFFF
 
 
 #: Sentinel matched-rank for unmatched / absent vertices ("k(v) = 1"): the
@@ -156,7 +163,7 @@ class InstanceConfig:
             raise ConfigError(
                 f"levels must lie in [1, {MAX_LEVELS}], got {self.levels}"
             )
-        need = self.n * (28 + 9 * self.levels + (48 if self.levels > 8 else 0))
+        need = self.n * (28 + 8 * self.levels + (40 if self.levels > 8 else 0))
         if need > VERTEX_STATE_BUDGET:
             raise ConfigError(
                 f"vertex count {self.n} at levels {self.levels} needs about "
@@ -186,10 +193,12 @@ class Instance:
         self._rng = random.Random(config.algo_seed)
         # Vertex tapes are static, so they are drawn up front in index order:
         # bit i-1 of tapes[v] is the level-i partition coin (0 = A, 1 = B).
+        # The list is allocated at its exact length and then filled; a
+        # comprehension would over-allocate it by up to 1/8.
         draw, levels = self._rng.getrandbits, range(config.levels)
-        self.tapes: list[int] = [
-            sum(draw(1) << i for i in levels) for _ in range(config.n)
-        ]
+        tapes = self.tapes = [0] * config.n
+        for v in range(config.n):
+            tapes[v] = sum(draw(1) << i for i in levels)
         self.records: dict[EdgeKey, EdgeRecord] = {}
         self.deg: list[int] = [0] * config.n
 

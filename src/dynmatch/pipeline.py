@@ -39,7 +39,7 @@ from itertools import chain
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import EdgeKey, Instance, Rank
+from .core import EdgeKey, Instance, Rank, key_of
 from .errors import UnknownOpError
 from .finalmatch import UnionMatcher
 from .rgmm import EMPTY_DELTA, DeltaList, MatchingState
@@ -121,11 +121,13 @@ class Pipeline:
             i: LevelState() for i in range(1, instance.levels + 1)
         }
         # On the empty graph every vertex is unmatched, hence on the U side
-        # of every level, split by its partition coin.
-        self.role: dict[int, list[Role]] = {
-            i: [_U_SIDE[tape >> i - 1 & 1] for tape in instance.tapes]
-            for i in range(1, instance.levels + 1)
-        }
+        # of every level, split by its partition coin.  Each row is
+        # allocated at its exact length and then filled.
+        self.role: dict[int, list[Role]] = {}
+        for i in range(1, instance.levels + 1):
+            row = self.role[i] = [Role.U_A] * instance.n
+            for v, tape in enumerate(instance.tapes):
+                row[v] = _U_SIDE[tape >> i - 1 & 1]
         #: Per vertex: 0 when unmatched in M_0, else the level of its M_0 edge.
         self.match_level: list[int] = [0] * instance.n
         self.union = UnionMatcher(instance.config.answer_depth())
@@ -148,7 +150,6 @@ class Pipeline:
             "m0": self.base.snapshot(),
             "members": {i: frozenset(keys) for i, keys in members.items()},
             "roles": {i: tuple(r.value for r in row) for i, row in self.role.items()},
-            "g_edges": {i: ls.state.rank_of for i, ls in self.levels.items()},
             "m_i": {i: ls.state.snapshot() for i, ls in self.levels.items()},
             "union": dict(self.union.mult),
         }
@@ -174,9 +175,10 @@ class Pipeline:
         role_changes = 0
 
         # Step 1: base matching.
-        # The layers index an edge by its vertex ids; only `matched` holds
-        # edge keys.  The updated edge is passed as its record's tuple, so it
-        # joins a matching under that key; a cascade builds its own keys.
+        # The layers index an edge by its vertex ids and store ranks, which
+        # pack the edge key.  The updated edge is passed as its record's
+        # tuple, so a delta lists it under that key; a cascade decodes its
+        # own keys from ranks.
         if op == "ins":
             record = self.inst.admit_edge(u, v)
             key = record.key
@@ -250,7 +252,6 @@ class Pipeline:
         """
         deltas: RoleDeltas = {}
         match_level = self.match_level
-        matched = self.base.matched
         k = self.base.k
         # `Instance.level_of_rank`, inlined.
         levels = self.inst.levels
@@ -263,8 +264,12 @@ class Pipeline:
         u_side = _U_SIDE
         for v in sorted(changed):
             was = match_level[v]
-            key = matched.get(v)
-            lv = 0 if key is None else levels - bisect_left(bounds, k[v])
+            r = k.get(v)
+            if r is None:
+                lv = 0
+            else:
+                key = key_of(r)
+                lv = levels - bisect_left(bounds, r)
             match_level[v] = lv
             tape = tapes[v]
             # Written without min/max: their generic calls cost more than

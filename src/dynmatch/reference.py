@@ -131,7 +131,6 @@ def static_reference(
         "m0": m0,
         "members": {i: frozenset(members[i]) for i in levels},
         "roles": roles,
-        "g_edges": g_edges,
         "m_i": m_i,
         "union": union,
     }

@@ -5,7 +5,7 @@ run`, the `equivalence` suite and the acceptance criteria all call it.  Every
 `oracle_every`-th update, and the last one, is a checkpoint.  There each check
 counts its violations (`CHECKS`, in order): the pipeline differs from
 `static_reference`; a level above the update's trigger level differs from its
-copy taken just before the update (one per level); M_0 is not maximal;
+snapshot taken just before the update (one per level); M_0 is not maximal;
 |M_0| < mu(G)/2; |answer| < |M_0|; the union graph holds an augmenting path
 of at most 2k-1 edges; |answer| < k/(k+1) mu(union); the answer is not a
 matching inside the union graph.  Maximality and the last check read the
@@ -21,7 +21,6 @@ Wall-clock fields aside, a replay is a pure function of (stream, algo config).
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from pathlib import Path
@@ -54,8 +53,8 @@ def _check(
     pipe: Pipeline, before: dict, trigger_level: int | None
 ) -> tuple[dict[str, int], int]:
     """Make every check on `pipe` just after an update; return each check's
-    violation count and mu(G).  `before` maps each level to a copy of its
-    state taken just before the update."""
+    violation count and mu(G).  `before` maps each level to its
+    `snapshot()` taken just before the update."""
     inst = pipe.inst
     config = inst.config
     k = config.answer_depth()
@@ -65,14 +64,14 @@ def _check(
     found["mismatches"] = int(pipe.snapshot() != ref)
     if trigger_level is not None:
         found["stability_violations"] = sum(
-            before[i] != pipe.levels[i].state
+            before[i] != pipe.levels[i].state.snapshot()
             for i in range(trigger_level + 1, config.levels + 1)
         )
     covered = {v for key in pipe.base.matching for v in key}
     found["maximality_violations"] = int(any(
         u not in covered and v not in covered for u, v in inst.records
     ))
-    m0 = len(pipe.base.matched) // 2
+    m0 = len(pipe.base.k) // 2
     answer = pipe.union.size()
     answer_edges = pipe.current_answer()
     union_edges = pipe.union.edges()
@@ -131,12 +130,12 @@ def replay(
                 records % oracle_every == 0 or records == len(events)
             )
             if check:
-                before = {i: copy.deepcopy(ls.state) for i, ls in pipe.levels.items()}
+                before = {i: ls.state.snapshot() for i, ls in pipe.levels.items()}
             try:
                 report = pipe.handle_update(ev.op, ev.u, ev.v)
             except DynMatchError as exc:
                 raise ReplayError(ev.seq, str(exc)) from exc
-            m0 = len(pipe.base.matched) // 2
+            m0 = len(pipe.base.k) // 2
             answer = pipe.union.size()
             mu = None
             ratio = None
@@ -184,7 +183,7 @@ def replay(
         "delta": config.delta_cap,
         "levels": config.levels,
         "algo_seed": config.algo_seed,
-        "final_m0": len(pipe.base.matched) // 2,
+        "final_m0": len(pipe.base.k) // 2,
         "final_answer": pipe.union.size(),
         "final_mu": last_mu,
         # What each level adds on top of M_0, read once after the last event.

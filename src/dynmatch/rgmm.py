@@ -11,10 +11,11 @@ itself if matched).  Since a matching has at most one edge per vertex, the
 eliminator rank of edge uv is simply min(k(u), k(v)) where k(.) is the
 matched rank (the sentinel `UNMATCHED_RANK` when free), so it is derived
 from k on demand and never stored.  The state keeps each fact once: the
-per-vertex adjacency index is the edge set, `matched` is the matching, and
-`rank_of` and `matching` are views built from them on every read.  The index
-is unordered and maps each neighbor to the rank of the shared edge, so a
-candidate scan at v reads ranks and neighbors straight from the index: it
+per-vertex adjacency index is the edge set, k is the matching (a rank packs
+its edge's key, so k(v) names v's matched edge, decoded by `core.key_of`),
+and `rank_of` and `matching` are views built from them on every read.  The
+index is unordered and maps each neighbor to the rank of the shared edge, so
+a candidate scan at v reads ranks and neighbors straight from the index: it
 hashes only integer vertex ids, never an edge tuple, and builds an edge key
 only for what it returns.
 One scan, `neighbors_above`, serves every caller; it costs O(deg(v)) plus
@@ -33,7 +34,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import UNMATCHED_RANK, ZERO_RANK, EdgeKey, Rank
+from .core import UNMATCHED_RANK, ZERO_RANK, EdgeKey, Rank, key_of
 from .errors import DuplicateEdgeError, EdgeNotFoundError
 
 
@@ -82,15 +83,17 @@ class MatchingState:
         in O(deg(v)), by eliminator rank and optionally by a label of the
         neighbor, and returns the edge keys it keeps sorted by (eliminator
         rank, edge), or returns in O(1) when k(v) is below the threshold.
-    matched : vertex -> its matching edge (absent when unmatched); the
-        matching itself.
     k : vertex -> rank of its matching edge (absent when unmatched; readers
-        take the sentinel `UNMATCHED_RANK` for a free vertex).
+        take the sentinel `UNMATCHED_RANK` for a free vertex); the matching
+        itself, since `key_of(k[v])` is v's matching edge.
+    counters : work counts, `pops` (cascade heap pops) and `scans` (index
+        entries read by candidate scans).
 
     Read-only views, built from the stored state on every read and returned
     as fresh copies: `rank_of` (edge -> rank, from `index`) and `matching`
-    (the set of matched edges, from `matched`).  An edge's eliminator rank
-    is min(k(u), k(v)), computed where it is read.
+    (the set of matched edges, decoded from `k`).  An edge's eliminator rank
+    is min(k(u), k(v)), computed where it is read.  States are compared
+    through `snapshot()`.
 
     Edge keys are (lo, hi) tuples.  Single-writer; `apply_insert` /
     `apply_delete` restore all invariants before returning, and a rejected
@@ -98,7 +101,6 @@ class MatchingState:
     """
 
     def __init__(self) -> None:
-        self.matched: dict[int, EdgeKey] = {}
         self.k: dict[int, Rank] = {}
         self.index: dict[int, dict[int, Rank]] = {}
         self.counters = {"pops": 0, "scans": 0}
@@ -117,9 +119,9 @@ class MatchingState:
 
     @property
     def matching(self) -> set[EdgeKey]:
-        """The set of matched edges, a fresh set built from `matched` on
-        every read: O(|M|)."""
-        return set(self.matched.values())
+        """The set of matched edges, a fresh set decoded from `k` on every
+        read: O(|M|)."""
+        return {key_of(r) for r in self.k.values()}
 
     def incident(self, v: int) -> list[EdgeKey]:
         """Incident edges in increasing (eliminator rank, edge) order."""
@@ -166,19 +168,15 @@ class MatchingState:
         eliminators are a function of these, so they are not repeated."""
         return {"edges": self.rank_of, "matching": self.matching, "k": dict(self.k)}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatchingState):
-            return NotImplemented
-        return (
-            self.index == other.index
-            and self.matched == other.matched
-            and self.k == other.k
-        )
-
     # -- updates ---------------------------------------------------------
 
     def apply_insert(self, key: EdgeKey, rank: Rank) -> DeltaList:
-        """Insert an edge; returns exactly the matching changes it caused."""
+        """Insert an edge; returns exactly the matching changes it caused.
+
+        Requires `key_of(rank) == key`, as every rank `Instance.admit_edge`
+        draws meets: k stores the rank alone and the matching reads the
+        edge back out of it.
+        """
         u, v = key
         if v in self.index.get(u, ()):
             raise DuplicateEdgeError(f"edge {key} already present")
@@ -189,12 +187,13 @@ class MatchingState:
         delta = DeltaList()
         seeds = []
         for w in (u, v):
-            old = self.matched.get(w)
+            old = k.get(w)
             if old is not None:
-                self._unmatch(old)
-                delta.left.append(old)
-                seeds.append(old[0] if old[1] == w else old[1])
-        self._match(key, rank)
+                a, b = old_key = key_of(old)
+                del k[a], k[b]
+                delta.left.append(old_key)
+                seeds.append(a if b == w else b)
+        k[u] = k[v] = rank
         delta.joined.append(key)
         self._cascade(seeds, delta)
         return delta
@@ -205,108 +204,90 @@ class MatchingState:
         # An edge is present only under its (lo, hi) key.
         if u > v or v not in self.index.get(u, ()):
             raise EdgeNotFoundError(f"edge {key} not present")
-        self._index_remove(key)
-        if self.matched.get(u) != key:
+        rank = self._index_remove(key)
+        if self.k.get(u) != rank:
             return EMPTY_DELTA
-        self._unmatch(key)
+        del self.k[u], self.k[v]
         delta = DeltaList([key])
         self._cascade(list(key), delta)
         return delta
 
     # -- internals -------------------------------------------------------
 
-    def _match(self, key: EdgeKey, rank: Rank) -> None:
-        u, v = key
-        self.matched[u] = key
-        self.matched[v] = key
-        self.k[u] = rank
-        self.k[v] = rank
-
-    def _unmatch(self, key: EdgeKey) -> None:
-        u, v = key
-        del self.matched[u], self.matched[v]
-        del self.k[u], self.k[v]
-
     def _index_add(self, key: EdgeKey, rank: Rank) -> None:
         u, v = key
         self.index.setdefault(u, {})[v] = rank
         self.index.setdefault(v, {})[u] = rank
 
-    def _index_remove(self, key: EdgeKey) -> None:
+    def _index_remove(self, key: EdgeKey) -> Rank:
+        """Drop the edge from the index; returns its rank."""
         u, v = key
         for w, x in ((u, v), (v, u)):
             adj = self.index[w]
-            del adj[x]
+            rank = adj.pop(x)
             if not adj:
                 del self.index[w]
+        return rank
 
-    def _best_candidate(self, w: int) -> tuple[Rank, EdgeKey, int] | None:
-        """Minimum-rank incident edge whose far endpoint is free or matched
-        at a higher rank -- the edge w takes when the greedy replay reaches it."""
+    def _best_candidate(self, w: int) -> Rank | None:
+        """Rank of the minimum-rank incident edge whose far endpoint is free
+        or matched at a higher rank -- the edge w takes when the greedy
+        replay reaches it.  Ranks are unique, so the rank names the edge."""
         idx = self.index.get(w)
         if not idx:
             return None
         k = self.k
         self.counters["scans"] += len(idx)
-        best_r = unmatched = UNMATCHED_RANK
-        best_x = None
+        best = unmatched = UNMATCHED_RANK
         for x, r in idx.items():
-            if r < best_r and k.get(x, unmatched) > r:
-                best_r = r
-                best_x = x
-        if best_x is None:
-            return None
-        # Ranks are unique, so the minimum rank alone names the edge.
-        return best_r, (w, best_x) if w < best_x else (best_x, w), best_x
+            if r < best and k.get(x, unmatched) > r:
+                best = r
+        return None if best == unmatched else best
 
     def _cascade(self, seeds: Iterable[int], delta: DeltaList) -> None:
         """Settle freed vertices in globally increasing candidate-rank order.
 
-        Each heap entry is a lower bound for its vertex's true candidate; a
-        vertex commits only when its recomputed candidate is no larger than
-        every other pending entry, which reproduces the static greedy order.
+        Each heap entry (rank, vertex) is a lower bound for its vertex's true
+        candidate; a vertex commits only when its recomputed candidate is no
+        larger than every other pending entry, which reproduces the static
+        greedy order.
 
         Every heap pop counts once in `counters["pops"]`; the count is kept
-        in a local and added when the heap is empty.  `_match` and `_unmatch`
-        are inlined here, with the same key order.
+        in a local and added when the heap is empty.
         """
-        heap: list[tuple[Rank, EdgeKey, int, int]] = []
+        heap: list[tuple[Rank, int]] = []
         heappush, heappop = heapq.heappush, heapq.heappop
         best_candidate = self._best_candidate
-        matched, k = self.matched, self.k
+        k = self.k
         left, joined = delta.left, delta.joined
         for w in seeds:
-            best = best_candidate(w)
-            if best is not None:
-                heappush(heap, (best[0], best[1], w, best[2]))
+            rank = best_candidate(w)
+            if rank is not None:
+                heappush(heap, (rank, w))
         pops = 0
         while heap:
-            w = heappop(heap)[2]
+            w = heappop(heap)[1]
             pops += 1
-            if w in matched:
+            if w in k:
                 continue
-            best = best_candidate(w)
-            if best is None:
+            rank = best_candidate(w)
+            if rank is None:
                 continue
-            rank, key, x = best
             if heap and heap[0][0] < rank:
-                heappush(heap, (rank, key, w, x))
+                heappush(heap, (rank, w))
                 continue
-            old = matched.get(x)
+            a, b = key = key_of(rank)
+            x = b if a == w else a
+            old = k.get(x)
             if old is not None:
-                a, b = old
-                del matched[a], matched[b]
-                del k[a], k[b]
-                left.append(old)
-            a, b = key
-            matched[a] = key
-            matched[b] = key
-            k[a] = rank
-            k[b] = rank
+                c, d = old_key = key_of(old)
+                del k[c], k[d]
+                left.append(old_key)
+            k[a] = k[b] = rank
             joined.append(key)
             if old is not None:
-                w = old[0] if old[1] == x else old[1]
-                best = best_candidate(w)
-                if best is not None:
-                    heappush(heap, (best[0], best[1], w, best[2]))
+                w = c if d == x else d
+                rank = best_candidate(w)
+                if rank is not None:
+                    heappush(heap, (rank, w))
         self.counters["pops"] += pops

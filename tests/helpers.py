@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from dynmatch.core import RANK_SCALE, UNMATCHED_RANK, Rank, edge_key, make_rank
+from dynmatch.core import (
+    RANK_SCALE, UNMATCHED_RANK, Rank, edge_key, key_of, make_rank,
+)
 from dynmatch.reference import greedy_snapshot
 from dynmatch.replay import CHECKS
 from dynmatch.rgmm import MatchingState
@@ -60,8 +62,8 @@ def insert_all(edges) -> MatchingState:
 
 def assert_is_greedy(state: MatchingState, edges: dict) -> None:
     """`state` is the greedy matching of `edges` (key -> rank): its snapshot
-    equals the reference greedy's, and its index and per-vertex matched edges
-    are exactly those the edge set and that matching fix."""
+    equals the reference greedy's, and its index and the matched edge each
+    vertex's k names are exactly those the edge set and that matching fix."""
     n = 1 + max((key[1] for key in edges), default=-1)
     want = greedy_snapshot(dict(edges), n)
     assert state.snapshot() == want
@@ -70,7 +72,9 @@ def assert_is_greedy(state: MatchingState, edges: dict) -> None:
         index.setdefault(u, {})[v] = rank
         index.setdefault(v, {})[u] = rank
     assert state.index == index
-    assert state.matched == {v: key for key in want["matching"] for v in key}
+    assert {v: key_of(r) for v, r in state.k.items()} == {
+        v: key for key in want["matching"] for v in key
+    }
 
 
 def is_maximal(matching, edges) -> bool:

@@ -93,7 +93,7 @@ def c1_data():
                 oracle.delete(*key)
             if not is_maximal(state.matching, live_rank):
                 maximal_bad += 1
-            if len(state.matched) < oracle.size:  # 2|M_0| < mu
+            if len(state.k) < oracle.size:  # 2|M_0| < mu
                 half_mu_bad += 1
             check_s += time.perf_counter() - t_check
 

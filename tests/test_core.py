@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from dynmatch.core import (
     UNMATCHED_RANK,
     ZERO_RANK,
     edge_key,
+    key_of,
     level_of_rank,
     make_rank,
     threshold_rank,
@@ -27,6 +29,7 @@ from dynmatch.errors import (
     EdgeNotFoundError,
     LoopEdgeError,
 )
+from dynmatch.pipeline import Pipeline
 from dynmatch.reference import level_by_scan
 
 from helpers import rank_at, unpack_rank
@@ -73,7 +76,7 @@ class TestConfig:
     @pytest.mark.parametrize("levels", [1, 2, 4, MAX_LEVELS])
     def test_vertex_state_budget(self, levels):
         # validated only: no test builds an instance this large
-        per_vertex = 28 + 9 * levels + (48 if levels > 8 else 0)
+        per_vertex = 28 + 8 * levels + (40 if levels > 8 else 0)
         largest = VERTEX_STATE_BUDGET // per_vertex
         InstanceConfig(largest, 4, levels).validate()
         with pytest.raises(ConfigError) as err:
@@ -81,6 +84,19 @@ class TestConfig:
         message = str(err.value)
         assert f"vertex count {largest + 1} at levels {levels}" in message
         assert f"{VERTEX_STATE_BUDGET}-byte budget" in message
+        # built: at n = 100117 a list grown by appending sits about 1/8 over
+        # its length, so every per-vertex table must be allocated exactly,
+        # and with the tapes' own ints they fit the per-vertex figure
+        n = 100117
+        pipe = Pipeline(Instance(InstanceConfig(n, 4, levels)))
+        inst = pipe.inst
+        tables = [inst.tapes, inst.deg, pipe.match_level, *pipe.role.values()]
+        assert len(tables) == levels + 3
+        exact = sys.getsizeof([0] * n)
+        assert [sys.getsizeof(t) for t in tables] == [exact] * len(tables)
+        # CPython caches the ints -5..256, so a tape of L <= 8 bits is shared
+        tape_ints = sum(sys.getsizeof(t) for t in inst.tapes if t > 256)
+        assert len(tables) * exact + tape_ints <= n * per_vertex
 
     def test_levels_capped(self):
         InstanceConfig(4, 4, MAX_LEVELS).validate()
@@ -162,6 +178,18 @@ class TestEdgeLifecycle:
         inst = make_instance()
         with pytest.raises(EdgeNotFoundError):
             inst.retire_edge(1, 2)
+
+    def test_every_drawn_rank_names_its_edge(self):
+        # a matching stores ranks alone and reads each edge back with key_of
+        inst = make_instance(n=8, delta=7, levels=3)
+        rng = random.Random(5)
+        for _ in range(60):
+            u, v = rng.sample(range(8), 2)
+            if edge_key(u, v) in inst.records:
+                rec = inst.retire_edge(u, v)
+            else:
+                rec = inst.admit_edge(u, v)
+            assert [key_of(r) for r in rec.ranks] == [rec.key] * 4
 
     def test_reinsert_draws_new_randomness(self):
         inst = make_instance()
@@ -258,6 +286,14 @@ class TestRankLevels:
             assert th[lvl] < r <= th[lvl - 1]
         else:
             assert r <= th[levels - 1]
+
+    @pytest.mark.parametrize("value", [0, 1, RANK_SCALE - 1])
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 0), (0, 1), (0, MAX_VERTICES), (MAX_VERTICES, 0),
+        (MAX_VERTICES, MAX_VERTICES),
+    ])
+    def test_key_of_inverts_make_rank(self, value, lo, hi):
+        assert key_of(make_rank(value, lo, hi)) == (lo, hi)
 
     @given(a=_ranks, b=_ranks)
     @settings(max_examples=500, deadline=None)

@@ -17,6 +17,7 @@ from dynmatch.core import (
     Instance,
     InstanceConfig,
     edge_key,
+    key_of,
 )
 from dynmatch.errors import ConfigError, OracleLimitError, ReplayError
 from dynmatch.exact import DEFAULT_ORACLE_LIMIT, max_matching_exact
@@ -401,7 +402,7 @@ class TestCli:
         stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')
         summary = tmp_path / "summary.json"
         # refused by the config check, before any per-vertex table is built
-        n = VERTEX_STATE_BUDGET // (28 + 9 * 4) + 1
+        n = VERTEX_STATE_BUDGET // (28 + 8 * 4) + 1
         rc = main([
             "run", "--stream", str(stream), "--levels", "4", "--delta", "8",
             "--n", str(n), "--oracle-every", "0", "--summary", str(summary),
@@ -490,7 +491,7 @@ def _snapshot_dropping_a_third_of_k(self):
 
 
 def _matching_dropping_a_fifth(self):
-    keys = sorted(set(self.matched.values()))
+    keys = sorted({key_of(r) for r in self.k.values()})
     return set(keys) - set(keys[::5])
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynmatch.core import UNMATCHED_RANK, edge_key, make_rank
+from dynmatch.core import UNMATCHED_RANK, edge_key, key_of, make_rank
 from dynmatch.errors import DuplicateEdgeError, EdgeNotFoundError
 from dynmatch.reference import greedy_snapshot
 from dynmatch.rgmm import EMPTY_DELTA, MatchingState
@@ -24,6 +24,11 @@ from helpers import (
 def ranked(*triples):
     """[(u, v, fraction)] -> list of (key, Rank)."""
     return [(edge_key(u, v), rank_at(f, edge_key(u, v))) for u, v, f in triples]
+
+
+def stored(st_):
+    """A copy of everything a state stores about its graph and matching."""
+    return copy.deepcopy((st_.index, st_.k))
 
 
 class TestBuildStatic:
@@ -61,15 +66,17 @@ class TestBuildStatic:
             for u, v in {(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)}
         ]
         st_ = insert_all(edges)
-        assert st_ == insert_all(reversed(edges))
-        assert st_ == insert_all(sorted(edges, key=lambda item: item[1]))
+        assert stored(st_) == stored(insert_all(reversed(edges)))
+        assert stored(st_) == stored(
+            insert_all(sorted(edges, key=lambda item: item[1]))
+        )
         assert_is_greedy(st_, dict(edges))
 
 
 class TestApplyInsert:
     def test_first_edge_joins(self):
         st_ = MatchingState()
-        d = st_.apply_insert((1, 2), rank_at(0.2))
+        d = st_.apply_insert((1, 2), rank_at(0.2, (1, 2)))
         assert d.joined == [(1, 2)] and d.left == []
         assert st_.matching == {(1, 2)}
 
@@ -79,15 +86,15 @@ class TestApplyInsert:
         d = st_.apply_insert((1, 2), rank_at(0.2, (1, 2)))
         assert d.left == [(2, 3)]
         assert d.joined == [(1, 2)]
-        assert 3 not in st_.matched
+        assert 3 not in st_.k
 
     def test_duplicate_insert_rejected(self):
         st_ = MatchingState()
-        st_.apply_insert((1, 2), rank_at(0.2))
-        before = copy.deepcopy(st_)
+        st_.apply_insert((1, 2), rank_at(0.2, (1, 2)))
+        before = stored(st_)
         with pytest.raises(DuplicateEdgeError):
-            st_.apply_insert((1, 2), rank_at(0.3))
-        assert st_ == before
+            st_.apply_insert((1, 2), rank_at(0.3, (1, 2)))
+        assert stored(st_) == before
 
     def test_higher_rank_edge_rejected_without_delta(self):
         st_ = MatchingState()
@@ -100,7 +107,7 @@ class TestApplyInsert:
 class TestApplyDelete:
     def test_delete_only_matched_edge(self):
         st_ = MatchingState()
-        st_.apply_insert((1, 2), rank_at(0.2))
+        st_.apply_insert((1, 2), rank_at(0.2, (1, 2)))
         d = st_.apply_delete((1, 2))
         assert d.left == [(1, 2)] and d.joined == []
         assert st_.matching == set()
@@ -118,13 +125,13 @@ class TestApplyDelete:
         st_ = MatchingState()
         with pytest.raises(EdgeNotFoundError):
             st_.apply_delete((1, 2))
-        assert st_ == MatchingState()
+        assert stored(st_) == ({}, {})
         # both endpoints are indexed, the edge between them is not
         st_ = insert_all(ranked((0, 1, 0.1), (1, 2, 0.2)))
-        before = copy.deepcopy(st_)
+        before = stored(st_)
         with pytest.raises(EdgeNotFoundError):
             st_.apply_delete((0, 2))
-        assert st_ == before
+        assert stored(st_) == before
 
     @pytest.mark.parametrize("key", [(1, 2), (2, 3)])
     def test_delete_under_reversed_key_rejected(self, key):
@@ -132,10 +139,10 @@ class TestApplyDelete:
         # and (2, 3) is not
         st_ = insert_all(ranked((1, 2, 0.2), (2, 3, 0.5)))
         assert st_.matching == {(1, 2)}
-        before = copy.deepcopy(st_)
+        before = stored(st_)
         with pytest.raises(EdgeNotFoundError):
             st_.apply_delete(key[::-1])
-        assert st_ == before
+        assert stored(st_) == before
 
     def test_cascade_along_path(self):
         # path 1-2-3-4 ranked 0.1, 0.2, 0.3: matching {(1,2),(3,4)}
@@ -148,6 +155,17 @@ class TestApplyDelete:
         assert d.joined == [(2, 3)]
         assert set(d.left) == {(1, 2), (3, 4)}
         assert st_.matching == {(2, 3)}
+
+
+def test_state_stores_the_index_k_and_counters_only():
+    # k is the matching: a rank names its edge, so no second map of
+    # matched edges is kept, before or after a cascade
+    st_ = MatchingState()
+    assert vars(st_).keys() == {"index", "k", "counters"}
+    st_ = insert_all(ranked((1, 2, 0.1), (2, 3, 0.2), (3, 4, 0.3)))
+    st_.apply_delete((1, 2))
+    assert st_.counters["pops"] > 0
+    assert vars(st_).keys() == {"index", "k", "counters"}
 
 
 class TestEmptyDelta:
@@ -248,9 +266,10 @@ class TestNeighborsAbove:
 class TestBestCandidate:
     @pytest.mark.parametrize("seed", range(8))
     def test_scan_agrees_with_brute_force(self, seed):
-        # the greedy cascade's candidate at w is the minimum (rank, edge, x)
-        # over incident edges wx with k(x) > rank; on odd seeds every rank
-        # takes one of 3 values, so the rank's key tie-break decides
+        # the greedy cascade's candidate at w is the rank of the minimum
+        # (rank, edge, x) over incident edges wx with k(x) > rank, and that
+        # rank names the edge; on odd seeds every rank takes one of 3
+        # values, so the rank's key tie-break decides
         rng = random.Random(seed)
         coarse = seed % 2 == 1
         n = 9
@@ -272,7 +291,11 @@ class TestBestCandidate:
                     (o for o in options if st_.k.get(o[2], UNMATCHED_RANK) > o[0]),
                     default=None,
                 )
-                assert st_._best_candidate(w) == expect
+                got = st_._best_candidate(w)
+                if expect is None:
+                    assert got is None
+                else:
+                    assert got == expect[0] and key_of(got) == expect[1]
 
 
 class TestOracleEquivalence:
@@ -431,11 +454,14 @@ class TestInvariants:
 
     def test_sentinel_for_unmatched(self):
         st_, _ = self._churn(4)
+        matching = st_.matching
         for v in range(10):
-            if v in st_.matched:
-                assert st_.k[v] == st_.rank_of[st_.matched[v]]
+            if v in st_.k:
+                key = key_of(st_.k[v])
+                assert v in key and key in matching
+                assert st_.k[v] == st_.rank_of[key]
             else:
-                assert v not in st_.k
+                assert all(v not in key for key in matching)
 
     def test_index_mirrors_eliminators(self):
         # every live edge is indexed under both endpoints, keyed by the other

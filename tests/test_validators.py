@@ -53,7 +53,7 @@ class TestStaticReference:
         ref = static_reference([], inst.tapes, config)
         assert ref["m0"]["matching"] == set()
         assert all(not s for s in ref["members"].values())
-        assert all(not g for g in ref["g_edges"].values())
+        assert all(not m["edges"] for m in ref["m_i"].values())
         assert ref["union"] == {}
 
     def test_single_edge(self):
@@ -64,7 +64,7 @@ class TestStaticReference:
         assert ref["m0"]["matching"] == {(1, 2)}
         level = inst.level_of_rank(rec.ranks[0])
         assert ref["members"][level] == frozenset({(1, 2)})
-        assert all(not g for g in ref["g_edges"].values())
+        assert all(not m["edges"] for m in ref["m_i"].values())
         assert ref["union"] == {(1, 2): 1}
 
     def test_pure_function_of_inputs(self):
@@ -267,7 +267,7 @@ class TestCliquePmExperiment:
                 assert ref["roles"][i] == tuple(
                     role_of_code[c] for c in build.codes[i].tolist()
                 )
-                assert ref["g_edges"][i] == g_ranks[i]
+                assert ref["m_i"][i]["edges"] == g_ranks[i]
                 assert ref["m_i"][i]["matching"] == {
                     keys[j] for j in build.m[i].tolist()
                 }
