@@ -138,7 +138,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "validate":
         report = SUITES[args.suite]()
-        print(json.dumps(report, indent=2, sort_keys=True, default=str))
+        print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report.get("passed") else 1
 
     return 2

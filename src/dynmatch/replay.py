@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -116,8 +117,9 @@ def replay(
     pipe = Pipeline(inst)
 
     out = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
-    times: list[int] = []
-    adjusts: list[int] = []
+    # 8 bytes per update each; a list would also hold an int object per time
+    times = array("q")
+    adjusts = array("q")
     ratios: list[float] = []
     counts = dict.fromkeys(CHECKS, 0)
     first_failure: dict | None = None

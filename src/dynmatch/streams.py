@@ -8,20 +8,19 @@ deletes of absent edges, no degree-cap violations).
 
 from __future__ import annotations
 
-import io
 import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .core import EdgeKey, edge_key
+from .core import EdgeKey, InstanceConfig, edge_key
 from .errors import ReplayError, StreamSpecError
 
 GENERATORS = ("erdos-churn", "sliding-window", "clique-pm", "bipartite-churn")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateEvent:
     op: str  # "ins" | "del"
     u: int
@@ -216,11 +215,16 @@ _DISPATCH = {
 
 
 def generate_stream(spec: StreamSpec) -> list[UpdateEvent]:
-    """Materialize the full event list for `spec`, deterministically."""
+    """Materialize the full event list for `spec`, deterministically.
+
+    A vertex count no engine instance admits (`InstanceConfig.validate`) is
+    refused with a `ConfigError` before anything is allocated.
+    """
     if spec.generator not in _DISPATCH:
         raise StreamSpecError(f"unknown generator {spec.generator!r}")
     if spec.n < 2 or spec.delta < 1 or spec.length < 0:
         raise StreamSpecError("stream spec needs n >= 2, delta >= 1, length >= 0")
+    InstanceConfig(spec.n, 1, 1).validate()
     rng = random.Random(spec.seed)
     return list(_DISPATCH[spec.generator](spec, rng))
 
@@ -233,21 +237,27 @@ def write_stream(events: Iterable[UpdateEvent], path: str | Path) -> None:
 
 def read_stream(path: str | Path) -> list[UpdateEvent]:
     """Parse a JSONL stream file; a malformed line, or bytes that are not
-    UTF-8, raise `ReplayError` naming the line number."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Count line breaks as the line iteration below does.
-        prefix = io.StringIO(data[: exc.start].decode("utf-8"), newline=None)
-        seq = prefix.read().count("\n")
-        raise ReplayError(seq, f"line {seq + 1}: not UTF-8 ({exc.reason})") from None
+    UTF-8, raise `ReplayError` naming the line number.
+
+    The file is read one line at a time.  "\n", "\r\n" and "\r" each end a
+    line, so each binary line is split again at every "\r".  A line is
+    decoded with its line break, so a multi-byte sequence cut short by the
+    break is named as an invalid continuation byte.
+    """
     events = []
-    for seq, line in enumerate(io.StringIO(text, newline=None)):
-        line = line.strip()
-        if line:
-            events.append(_parse_event(line, seq))
+    seq = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for raw in chunk.splitlines(keepends=True):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise ReplayError(
+                        seq, f"line {seq + 1}: not UTF-8 ({exc.reason})"
+                    ) from None
+                if line:
+                    events.append(_parse_event(line, seq))
+                seq += 1
     return events
 
 
@@ -275,4 +285,6 @@ def _parse_event(line: str, seq: int) -> UpdateEvent:
         raise bad("vertex ids must be integers")
     if obj["u"] < 0 or obj["v"] < 0:
         raise bad("vertex ids must be non-negative integers")
-    return UpdateEvent(obj["op"], obj["u"], obj["v"], seq)
+    # the op as a literal, so all events share two strings
+    op = "ins" if obj["op"] == "ins" else "del"
+    return UpdateEvent(op, obj["u"], obj["v"], seq)

@@ -63,51 +63,38 @@ def suite_equivalence() -> dict:
 
 
 def suite_sparsification() -> dict:
-    report = audit_sparsification(seed=7)
-    return {
-        "suite": "sparsification",
-        "max_degree": {str(p): d for p, d in report.max_degree.items()},
-        "fitted_c": report.fitted_c,
-        "gate": report.gate,
-        "passed": report.passed,
-    }
+    return {"suite": "sparsification", **audit_sparsification(seed=7)}
 
 
 def suite_sampling_lemma() -> dict:
     trials = 10000
-    results = []
     # Complete bipartite K_{8,8} with a perfect matching, p = 0.25.
-    edges = [(v, u) for v in range(8) for u in range(8)]
-    matching = [(i, i) for i in range(8)]
-    stats = validate_vertex_sampling(8, 8, edges, matching, 0.25, trials, seed=11)
-    results.append(
-        {"case": "K88", "mean": stats.mean, "se": stats.std_error, "bound": stats.bound,
-         "passed": stats.passed}
-    )
+    edges = [(v, 8 + u) for v in range(8) for u in range(8)]
+    matching = [(i, 8 + i) for i in range(8)]
+    results = [{
+        "case": "K88",
+        **validate_vertex_sampling(8, 8, edges, matching, 0.25, trials, seed=11),
+    }]
     rng = random.Random(23)
     for idx in range(20):
         vc = rng.randint(4, 32)
         uc = rng.randint(4, 32)
         density = rng.uniform(0.1, 0.5)
-        inst_edges = [
-            (v, u)
+        edges = [
+            (v, vc + u)
             for v in range(vc)
             for u in range(uc)
             if rng.random() < density
-        ]
-        if not inst_edges:
-            inst_edges = [(0, 0)]
-        combined = {(v, vc + u) for v, u in inst_edges}
-        witness = max_matching_exact(vc + uc, combined).witness
-        matching = [(a, b - vc) if a < vc else (b, a - vc) for a, b in witness]
+        ] or [(0, vc)]
+        # The witness depends on edge order; the pinned report was drawn
+        # with the edges in set order.
+        witness = max_matching_exact(vc + uc, set(edges)).witness
         p = 0.1 if idx % 2 == 0 else 0.3
-        stats = validate_vertex_sampling(
-            vc, uc, inst_edges, matching, p, trials, seed=100 + idx
-        )
-        results.append(
-            {"case": f"random-{idx}", "p": p, "mean": stats.mean,
-             "se": stats.std_error, "bound": stats.bound, "passed": stats.passed}
-        )
+        results.append({
+            "case": f"random-{idx}",
+            "p": p,
+            **validate_vertex_sampling(vc, uc, edges, witness, p, trials, seed=100 + idx),
+        })
     return {
         "suite": "sampling-lemma",
         "cases": results,
@@ -118,14 +105,10 @@ def suite_sampling_lemma() -> dict:
 def suite_partition_augmentation() -> dict:
     size = 5000
     gadget = augmentation_gadget(size, noise=2500, seed=5)
-    stats = validate_partition_augmentation(gadget, p=0.03, trials=200, seed=6)
     return {
         "suite": "partition-augmentation",
         "size": size,
-        "mean": stats.mean,
-        "se": stats.std_error,
-        "bound": stats.bound,
-        "passed": stats.passed,
+        **validate_partition_augmentation(gadget, p=0.03, trials=200, seed=6),
     }
 
 

@@ -1,21 +1,22 @@
 """Statistical validators and desk-scale experiments.
 
 Everything here is read-only with respect to its inputs and reproducible
-from the seeds it is given.  Monte Carlo validators report mean and standard
-error and never gate tighter than three standard errors.  Their greedy
-matchings come from `reference.bulk_greedy`, the one static greedy loop in
-the package.
+from the seeds it is given.  The validators return plain JSON dicts, the
+reports their `dynmatch validate` suites publish, each with a boolean
+"passed".  Monte Carlo validators report mean and standard error and never
+gate tighter than three standard errors.  Their greedy matchings come from
+`reference.bulk_greedy`, the one static greedy loop in the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
-from .core import RANK_SCALE, EdgeKey, level_of_rank, thresholds_for
+from .core import RANK_SCALE, level_of_rank, thresholds_for
 from .errors import ConfigError, ConsistencyError
 from .exact import max_matching_exact
 from .reference import bulk_greedy
@@ -43,20 +44,6 @@ def _random_distinct_pairs(rng: np.random.Generator, n: int, m: int) -> tuple[np
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AuditReport:
-    """Max degree of the eliminator-filtered subgraph versus c/p * ln n."""
-
-    n: int
-    m: int
-    trials: int
-    seed: int
-    gate: float
-    max_degree: dict[float, int]
-    fitted_c: float
-    passed: bool
-
-
 def audit_sparsification(
     n: int = 2000,
     m: int = 20000,
@@ -64,11 +51,12 @@ def audit_sparsification(
     thresholds: Sequence[float] = tuple(2.0**-i for i in range(2, 9)),
     seed: int = 0,
     gate: float = 4.0,
-) -> AuditReport:
+) -> dict:
     """Measure max degree of {e : eliminator_rank(e) > p} over random rankings.
 
-    For every trial and threshold the gate requires degree <= gate / p * ln n;
-    the fitted constant (max over trials of degree * p / ln n) is reported.
+    For every trial and threshold the gate requires degree <= gate / p * ln n.
+    The report gives each threshold's worst degree under `str(p)`, the fitted
+    constant (max over trials of degree * p / ln n) and the gate.
     """
     rng = np.random.default_rng(seed)
     log_n = math.log(n)
@@ -88,9 +76,12 @@ def audit_sparsification(
             mask = elim_val > cut
             deg = np.bincount(su[mask], minlength=n) + np.bincount(sv[mask], minlength=n)
             worst[p] = max(worst[p], int(deg.max()) if mask.any() else 0)
-    fitted = max((worst[p] * p / log_n for p in thresholds), default=0.0)
-    passed = all(worst[p] * p <= gate * log_n for p in thresholds)
-    return AuditReport(n, m, trials, seed, gate, worst, fitted, passed)
+    return {
+        "max_degree": {str(p): d for p, d in worst.items()},
+        "fitted_c": max((worst[p] * p / log_n for p in thresholds), default=0.0),
+        "gate": gate,
+        "passed": all(worst[p] * p <= gate * log_n for p in thresholds),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -98,42 +89,35 @@ def audit_sparsification(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SamplingStats:
-    trials: int
-    mean: float
-    std_error: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.mean >= self.bound - 3 * self.std_error
-
-
-def _sampling_stats(samples: list[int], bound: float) -> SamplingStats:
-    """Mean and standard error of the mean of integer per-trial counts."""
+def _sampling_stats(samples: list[int], bound: float) -> dict:
+    """Mean and standard error of the mean of integer per-trial counts; the
+    gate passes when the mean is at least `bound` - 3 se."""
     trials = len(samples)
     mean = sum(samples) / trials
     var = max(sum(x * x for x in samples) / trials - mean * mean, 0.0)
-    return SamplingStats(trials, mean, math.sqrt(var / trials), bound)
+    se = math.sqrt(var / trials)
+    return {"mean": mean, "se": se, "bound": bound, "passed": mean >= bound - 3 * se}
 
 
 def validate_vertex_sampling(
     v_count: int,
     u_count: int,
     edges: Sequence[tuple[int, int]],
-    matching: Sequence[tuple[int, int]],
+    matching: Collection[tuple[int, int]],
     p: float,
     trials: int,
     seed: int = 0,
-) -> SamplingStats:
+) -> dict:
     """Monte Carlo check that E[X] >= p * (|M| - 2p|V|).
 
-    `edges` are (v, u) pairs over disjoint index spaces; v-side vertices are
-    kept independently with probability p, the greedy matching of the induced
-    subgraph is built under one fixed edge permutation, and X counts edges of
-    `matching` whose v endpoint got matched.  The permutation and the keep
-    coins come from two independent streams spawned from `seed`.
+    `edges` and `matching` are (v, u) pairs in one index space: the v side
+    is 0..v_count-1 and the u side starts at v_count, so each pair is in
+    `edge_key` order and an exact oracle's witness can be passed as it is.
+    v-side vertices are kept independently with probability p, the greedy
+    matching of the induced subgraph is built under one fixed edge
+    permutation, and X counts edges of `matching` whose v endpoint got
+    matched.  The permutation and the keep coins come from two independent
+    streams spawned from `seed`.
     """
     perm_seq, coin_seq = np.random.SeedSequence(seed).spawn(2)
     order = np.random.default_rng(perm_seq).permutation(len(edges))
@@ -143,8 +127,7 @@ def validate_vertex_sampling(
     samples: list[int] = []
     for _ in range(trials):
         keep = (rng.random(v_count) < p).tolist()
-        # u-side vertices follow the v side in one index space
-        kept = [(v, v_count + u) for v, u in ordered if keep[v]]
+        kept = [(v, u) for v, u in ordered if keep[v]]
         kpos, _ = bulk_greedy([v for v, _ in kept], [u for _, u in kept], v_count + u_count)
         samples.append(sum(1 for v in m_vs if kpos[v] < len(kept)))
     return _sampling_stats(samples, p * (len(matching) - 2 * p * v_count))
@@ -202,7 +185,7 @@ def validate_partition_augmentation(
     p: float,
     trials: int,
     seed: int = 0,
-) -> SamplingStats:
+) -> dict:
     """Count middle edges with both endpoints matched in the level matching.
 
     Per trial: fresh sampling coins for the middle edges, fresh A/B coins for
@@ -261,35 +244,6 @@ def find_pivot_level(sizes: Sequence[int]) -> int:
     if sizes[pivot - 1] <= sum(sizes[: pivot - 1]) << 11:
         raise ConsistencyError("pivot level violates the prefix domination bound")
     return pivot
-
-
-# ---------------------------------------------------------------------------
-# 3-augmentable edges
-# ---------------------------------------------------------------------------
-
-
-def count_3_augmentable(m0: set[EdgeKey], opt: set[EdgeKey]) -> int:
-    """Edges of M_0 sitting in the middle of a length-3 augmenting path of
-    OPT against M_0."""
-    opt_mate: dict[int, int] = {}
-    for a, b in opt:
-        opt_mate[a] = b
-        opt_mate[b] = a
-    covered: set[int] = set()
-    for a, b in m0:
-        covered.add(a)
-        covered.add(b)
-    hits = 0
-    for u, v in m0:
-        if (u, v) in opt or (v, u) in opt:
-            continue
-        a = opt_mate.get(u)
-        b = opt_mate.get(v)
-        if a is None or b is None:
-            continue
-        if a not in covered and b not in covered:
-            hits += 1
-    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +346,15 @@ def clique_pm_static_experiment(
     levels: int,
     seeds: int,
     base_seed: int = 0,
-    sample_p: float = 0.03,
 ) -> dict:
     """Static layered build on the worst-case family, with the exact final step.
 
     The instance is a clique on the first half of the vertices plus a pendant
     perfect matching, so mu = n/2 analytically while the base greedy matching
-    lands near mu/2.  Per seed: draw fresh rankings/coins, run the full
-    layered construction, and take the exact maximum matching of the union of
-    all produced matchings as the answer.  Reports paired ratio statistics.
+    lands near mu/2.  Per seed: draw fresh rankings/coins (sample_p = 0.03),
+    run the full layered construction, and take the exact maximum matching of
+    the union of all produced matchings as the answer.  Reports paired ratio
+    statistics.
     """
     us, vs = clique_pm_edges(n_total)
     mu = n_total // 2
@@ -409,7 +363,7 @@ def clique_pm_static_experiment(
     pivot_sizes: list[dict[int, int]] = []
     for s in range(seeds):
         rng = np.random.default_rng(base_seed + s)
-        build = clique_pm_layers(n_total, us, vs, levels, sample_p, rng)
+        build = clique_pm_layers(n_total, us, vs, levels, 0.03, rng)
         pivot_sizes.append(
             {i: build.m0_level.count(i) for i in range(1, levels + 1)}
         )

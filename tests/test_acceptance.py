@@ -5,6 +5,8 @@ shared by the criteria that read different aspects of the same runs.
 """
 
 import bisect
+import hashlib
+import json
 import math
 import time
 
@@ -31,8 +33,26 @@ C1_DELTA = 32
 C1_TARGET_M = 1200
 
 
+# sha256 of each gate's report as canonical JSON: a suite whose draws
+# change fails here even when its gate still passes.
+REPORT_PINS = {
+    "equivalence": "943c656a979065c37e09e3297e11f52f40cd4e77913041cc67fac68951f461e6",
+    "sparsification": "d73cc84da2a2ca1cc92318604845b534aca3af640ea3338f3c2b2f04db661bff",
+    "sampling-lemma": "bc7d9ef3e8a992d0bb19a0826a6b87ec8a9009c148ae750be4830f2cc73a2d46",
+    "partition-augmentation": "b7726c68d014806cdc8f55e9a1bb520e0a5e30451c93dd6a50ba327ba1a2ca6d",
+    "pivot-level": "2c279336fabac8d6cba0bf1aa6d9bbc250c1e012e7a75c8cb280597a52a09d9a",
+    "clique-pm-static": "8b3f2e714de682bfe25cd5941142f3bd97c09416be7f0f392a2501b5b718627b",
+}
+
+
 def _print(criterion: int, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion:02d} {'PASS' if passed else 'FAIL'}: {detail}")
+
+
+def _assert_pinned(name: str, report: dict) -> None:
+    # no `default`: a value JSON cannot hold fails instead of becoming a string
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_PINS[name]
 
 
 def _c1_stream(seed: int):
@@ -174,6 +194,7 @@ def test_c02_pipeline_oracle_equivalence(c2_data):
         f"over {c2_data['checkpoints']} checkpoints",
     )
     assert passed
+    _assert_pinned("equivalence", c2_data)
 
 
 def test_c03_level_stability(c2_data):
@@ -216,6 +237,7 @@ def test_c05_sparsification_audit():
         f"{ {f'2^-{i}': report['max_degree'][str(2.0**-i)] for i in range(2, 9)} }",
     )
     assert report["passed"]
+    _assert_pinned("sparsification", report)
 
 
 def test_c06_adjustment_complexity(c1_data):
@@ -232,7 +254,8 @@ def test_c06_adjustment_complexity(c1_data):
 
 
 def test_c07_vertex_sampling_lemma():
-    cases = suite_sampling_lemma()["cases"]
+    report = suite_sampling_lemma()
+    cases = report["cases"]
     bad = [c for c in cases if not c["passed"]]
     worst_margin = min(c["mean"] - (c["bound"] - 3 * c["se"]) for c in cases)
     _print(
@@ -241,6 +264,7 @@ def test_c07_vertex_sampling_lemma():
         f"tightest margin {worst_margin:.3f}",
     )
     assert not bad, bad
+    _assert_pinned("sampling-lemma", report)
 
 
 def test_c08_partition_augmentation():
@@ -252,6 +276,7 @@ def test_c08_partition_augmentation():
         f"(se {report['se']:.2f}, 200 trials)",
     )
     assert report["passed"]
+    _assert_pinned("partition-augmentation", report)
 
 
 def test_c09_pivot_level():
@@ -261,6 +286,7 @@ def test_c09_pivot_level():
         f"3x10^4 random size vectors, {report['failures']} failures",
     )
     assert report["passed"]
+    _assert_pinned("pivot-level", report)
 
 
 def test_c10_better_than_baseline_on_worst_case_family():
@@ -277,6 +303,7 @@ def test_c10_better_than_baseline_on_worst_case_family():
         f"paired gain {gain:.5f} >= 3se = {3 * se:.5f}",
     )
     assert passed
+    _assert_pinned("clique-pm-static", report)
 
 
 def test_c11_final_matcher_contract(c2_data):

@@ -348,6 +348,20 @@ class TestCli:
         assert rc == 2
         assert "No such file" in self._one_error_line(capsys)
 
+    @pytest.mark.parametrize("generator", ["erdos-churn", "clique-pm"])
+    @pytest.mark.parametrize("n", [2**32, VERTEX_STATE_BUDGET // (28 + 8) + 1])
+    def test_gen_refuses_an_n_no_run_can_replay(self, tmp_path, capsys, generator, n):
+        # refused by the config check, before the generator's mirror or
+        # clique list is built
+        out = tmp_path / "s.jsonl"
+        rc = main([
+            "gen", "--generator", generator, "--n", str(n), "--delta", str(n),
+            "--len", "5", "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"vertex count {n} " in self._one_error_line(capsys)
+        assert not out.exists()
+
     def test_run_out_in_missing_directory(self, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
         stream.write_text('{"op": "ins", "u": 0, "v": 1}\n')

@@ -103,6 +103,47 @@ class TestStreamFiles:
         assert len(lines) == len(events)
         assert all(line.startswith("{") for line in lines)
 
+    def test_mixed_line_breaks_number_lines(self, tmp_path):
+        # "\r", "\r\n" and "\n" each end a line, and a blank line counts
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(
+            b'{"op": "ins", "u": 0, "v": 1}\r{"op": "ins", "u": 0, "v": 2}\r\n'
+            b'\r\n{"op": "del", "u": 0, "v": 1}\n\r{"op": "del", "u": 0, "v": 2}'
+        )
+        assert [e.seq for e in read_stream(path)] == [0, 1, 3, 5]
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (b"\xff", "invalid start byte"),
+            # a multi-byte sequence cut short by the line break
+            (b"\xe2\x82", "invalid continuation byte"),
+        ],
+    )
+    def test_bad_byte_after_mixed_line_breaks_names_its_line(
+        self, tmp_path, bad, reason
+    ):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(
+            b'{"op": "ins", "u": 0, "v": 1}\r{"op": "ins", "u": 0, "v": 2}\r\n'
+            b'\r\n{"op": "del", "u": 0, "v": ' + bad + b'\r\n'
+        )
+        with pytest.raises(ReplayError) as err:
+            read_stream(path)
+        assert err.value.seq == 3
+        assert f"line 4: not UTF-8 ({reason})" in str(err.value)
+
+    def test_bad_byte_past_the_first_64_kib_names_its_line(self, tmp_path):
+        line = b'{"op": "ins", "u": 0, "v": 1}\n'
+        lines = 3000
+        assert lines * len(line) > 64 * 1024
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(line * lines + b'{"op": "del", "u": \xff, "v": 1}\n' + line)
+        with pytest.raises(ReplayError) as err:
+            read_stream(path)
+        assert err.value.seq == lines
+        assert f"line {lines + 1}: not UTF-8 (invalid start byte)" in str(err.value)
+
     @pytest.mark.parametrize(
         "bad, reason",
         [

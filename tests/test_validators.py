@@ -18,7 +18,6 @@ from dynmatch.validators import (
     clique_pm_edges,
     clique_pm_layers,
     clique_pm_static_experiment,
-    count_3_augmentable,
     find_pivot_level,
     validate_partition_augmentation,
     validate_vertex_sampling,
@@ -110,50 +109,20 @@ class TestPivotLevel:
             assert sizes[i - 1] > sum(sizes[: i - 1]) << 11
 
 
-class TestCount3Augmentable:
-    def test_perfect_base_matching_has_none(self):
-        m = {(0, 1), (2, 3)}
-        assert count_3_augmentable(m, set(m)) == 0
-
-    def test_canonical_path(self):
-        # path a-b-c-d with base {bc} and optimum {ab, cd}
-        assert count_3_augmentable({(1, 2)}, {(0, 1), (2, 3)}) == 1
-
-    def test_clique_plus_pendants_lower_bound(self):
-        # most base edges must be 3-augmentable when |M_0| is close to mu/2
-        rng = random.Random(5)
-        half = 40
-        n = 2 * half
-        edges = {(i, j) for i in range(half) for j in range(i + 1, half)}
-        edges |= {(i, i + half) for i in range(half)}
-        order = sorted(edges, key=lambda _: rng.random())
-        taken: set = set()
-        m0 = set()
-        for u, v in order:
-            if u not in taken and v not in taken:
-                taken.update((u, v))
-                m0.add((u, v))
-        opt = max_matching_exact(n, edges)
-        assert opt.size == half
-        delta = len(m0) / opt.size - 0.5
-        count = count_3_augmentable(m0, set(opt.witness))
-        assert count >= (0.5 - 3 * delta) * opt.size
-
-
 class TestSparsificationAudit:
     def test_extreme_thresholds(self):
         report = audit_sparsification(
             n=60, m=180, trials=2, thresholds=(0.0, 1.0), seed=3, gate=1e9
         )
         # p = 1 excludes everything
-        assert report.max_degree[1.0] == 0
+        assert report["max_degree"]["1.0"] == 0
         # p = 0 keeps (essentially surely) the whole graph
-        assert report.max_degree[0.0] >= 3
+        assert report["max_degree"]["0.0"] >= 3
 
     def test_default_audit_passes_gate(self):
         report = audit_sparsification(n=400, m=2400, trials=5, seed=5)
-        assert report.passed
-        assert report.fitted_c <= 4.0
+        assert report["passed"]
+        assert report["fitted_c"] <= 4.0
 
     def test_more_edges_than_pairs_rejected(self):
         with pytest.raises(ConfigError, match="do not fit"):
@@ -162,23 +131,23 @@ class TestSparsificationAudit:
 
 class TestVertexSampling:
     def test_single_edge_p_one(self):
-        stats = validate_vertex_sampling(1, 1, [(0, 0)], [(0, 0)], 1.0, 50, seed=1)
-        assert stats.mean == 1.0
-        assert stats.bound == pytest.approx(-1.0)
-        assert stats.passed
+        stats = validate_vertex_sampling(1, 1, [(0, 1)], [(0, 1)], 1.0, 50, seed=1)
+        assert stats["mean"] == 1.0
+        assert stats["bound"] == pytest.approx(-1.0)
+        assert stats["passed"]
 
     def test_p_zero(self):
-        stats = validate_vertex_sampling(4, 4, [(0, 0), (1, 1)], [(0, 0)], 0.0, 50, seed=1)
-        assert stats.mean == 0.0
-        assert stats.bound == 0.0
-        assert stats.passed
+        stats = validate_vertex_sampling(4, 4, [(0, 4), (1, 5)], [(0, 4)], 0.0, 50, seed=1)
+        assert stats["mean"] == 0.0
+        assert stats["bound"] == 0.0
+        assert stats["passed"]
 
     def test_k88_quarter(self):
-        edges = [(v, u) for v in range(8) for u in range(8)]
-        matching = [(i, i) for i in range(8)]
+        edges = [(v, 8 + u) for v in range(8) for u in range(8)]
+        matching = [(i, 8 + i) for i in range(8)]
         stats = validate_vertex_sampling(8, 8, edges, matching, 0.25, 2000, seed=2)
-        assert stats.bound == pytest.approx(1.0)
-        assert stats.passed
+        assert stats["bound"] == pytest.approx(1.0)
+        assert stats["passed"]
 
 
 class TestPartitionAugmentation:
@@ -197,13 +166,13 @@ class TestPartitionAugmentation:
     def test_small_family_meets_bound(self):
         g = augmentation_gadget(500, noise=250, seed=2)
         stats = validate_partition_augmentation(g, p=0.03, trials=60, seed=3)
-        assert stats.bound == pytest.approx(0.003825 * 500)
-        assert stats.passed
+        assert stats["bound"] == pytest.approx(0.003825 * 500)
+        assert stats["passed"]
 
     def test_bound_follows_p(self):
         g = augmentation_gadget(200, noise=100, seed=4)
         stats = validate_partition_augmentation(g, p=0.05, trials=5, seed=1)
-        assert stats.bound == pytest.approx(augmentation_bound(0.05, 0.01) * 200)
+        assert stats["bound"] == pytest.approx(augmentation_bound(0.05, 0.01) * 200)
 
 
 class TestCliquePmExperiment:
