@@ -11,6 +11,11 @@ order is then exactly the lexicographic order of (value, lo, hi), a rank
 comparison is one int comparison, and ranks are never tracked by the cyclic
 garbage collector.  The 32-bit tie fields cap the vertex universe at
 n <= 2^32 - 1 (`MAX_VERTICES`).
+
+The level boundaries t_i = delta^(-i/L) split rank space into L half-open
+intervals, and `Instance.level_of_rank` is the engine's one lookup of a
+rank's level (`Pipeline.update_roles` inlines it); the static reference
+keeps its own scan, `reference.level_by_scan`.
 """
 
 from __future__ import annotations
@@ -94,24 +99,6 @@ def thresholds_for(delta_cap: int, levels: int) -> list[Rank]:
     return [threshold_rank(delta_cap ** (-i / levels)) for i in range(levels + 1)]
 
 
-def level_bounds(thresholds: list[Rank]) -> list[Rank]:
-    """The inner level boundaries t_{L-1} < ... < t_1, ascending.
-
-    `L - bisect_left(level_bounds(t), rank)` is `level_of_rank(rank, t)`:
-    the bisect counts the boundaries strictly below `rank`, and a rank equal
-    to a boundary falls below it, as the half-open intervals require.
-    """
-    return thresholds[-2:0:-1]
-
-
-def level_of_rank(rank: Rank, thresholds: list[Rank]) -> int:
-    """Level index in [1..L] whose rank interval contains `rank`.
-
-    Level i < L owns (t_i, t_{i-1}]; level L owns [0, t_{L-1}].
-    """
-    return len(thresholds) - 1 - bisect_left(level_bounds(thresholds), rank)
-
-
 @dataclass(frozen=True, slots=True)
 class EdgeRecord:
     """All randomness attached to one arrival of an edge.
@@ -188,8 +175,11 @@ class Instance:
         config.validate()
         self.config = config
         self.thresholds = thresholds_for(config.delta_cap, config.levels)
-        #: `level_bounds(thresholds)`, kept for the per-update level lookups.
-        self.bounds = level_bounds(self.thresholds)
+        #: The inner level boundaries t_{L-1} < ... < t_1, ascending, for the
+        #: per-update level lookups: `bisect_left(bounds, rank)` counts the
+        #: boundaries strictly below `rank`, so a rank equal to a boundary
+        #: falls below it, as the half-open level intervals require.
+        self.bounds = self.thresholds[-2:0:-1]
         self._rng = random.Random(config.algo_seed)
         # Vertex tapes are static, so they are drawn up front in index order:
         # bit i-1 of tapes[v] is the level-i partition coin (0 = A, 1 = B).
@@ -213,7 +203,9 @@ class Instance:
         return self.config.levels
 
     def level_of_rank(self, rank: Rank) -> int:
-        """`level_of_rank(rank, self.thresholds)`, by bisecting `bounds`."""
+        """Level index in [1..L] whose rank interval contains `rank`, by
+        bisecting `bounds`: level i < L owns (t_i, t_{i-1}], and level L
+        owns [0, t_{L-1}]."""
         return self.config.levels - bisect_left(self.bounds, rank)
 
     def alpha_for_level(self, level: int) -> Rank:

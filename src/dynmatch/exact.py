@@ -110,6 +110,10 @@ def _find_path(adj: Sequence[Iterable[int]], match: list[int], root: int) -> tup
     base = list(range(n))
     used[root] = True
     q = deque([root])
+    # Only a tree vertex can lie in a blossom, so a contraction relabels the
+    # tree alone; it queues what it adds in index order, as a scan of all n
+    # vertices would.
+    tree = [root]
     while q:
         v = q.popleft()
         for to in adj[v]:
@@ -120,18 +124,21 @@ def _find_path(adj: Sequence[Iterable[int]], match: list[int], root: int) -> tup
                 blossom = [False] * n
                 _mark_path(match, base, blossom, p, v, curbase, to)
                 _mark_path(match, base, blossom, p, to, curbase, v)
-                for i in range(n):
+                fresh = []
+                for i in tree:
                     if blossom[base[i]]:
                         base[i] = curbase
                         if not used[i]:
                             used[i] = True
-                            q.append(i)
+                            fresh.append(i)
+                q.extend(sorted(fresh))
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
                     return to, p
                 used[match[to]] = True
                 q.append(match[to])
+                tree += (to, match[to])
     return -1, p
 
 

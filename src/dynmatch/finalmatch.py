@@ -20,16 +20,16 @@ backtracks; that list is also the visited test (`x in path`, at most 2k
 vertices), so no visited set is kept or copied per half.  Halves are sorted
 by length, stably, so preorder breaks ties.  Two halves join when they share
 no vertex: the u-half's vertex set is built once, lazily, and tested against
-each v-half with `isdisjoint`.  When one end of the edge is free its only
-half is that end, so the paths are the other end's halves grown behind it,
-and the prefix does the disjointness test's work.
+each v-half with `isdisjoint`.
 
-A repair from a free vertex s takes, over s's neighbours x in sorted order,
-the first strictly shortest `_shortest_through((s, x))`: the only half at s
-is (s,), the prefix drops exactly the paths that revisit s, and the stable
-choice of the first shortest keeps the sorted-neighbour preorder, so this is
-the path an iterative-deepening search from s finds first.  The path starts
-at s, which fixes `_flip`'s delta order and `_free_ball`'s seed order.
+Every search from a free vertex s is one call, `_first_shortest(s, xs)`: the
+only half at s is (s,), so it grows the halves of each x in xs behind the
+prefix [s, x] into one list, and `min` keeps the first of the shortest.  The
+prefix drops exactly the paths that revisit s, so it does the disjointness
+test's work.  An insert with one free end passes the other end alone; a
+repair passes s's neighbours in sorted order, so its path is the one an
+iterative-deepening search from s finds first.  The path starts at s, which
+fixes `_flip`'s delta order and `_free_ball`'s seed order.
 
 `add` keeps a fast path for an edge between two free vertices.  The general
 search returns the same (u, v), but without the fast path perfbench's
@@ -59,6 +59,7 @@ of a scan over `mate`.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 from .core import EdgeKey
 from .errors import ConsistencyError
@@ -87,10 +88,6 @@ class UnionMatcher:
         self.answer: set[EdgeKey] = set()
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def max_path_len(self) -> int:
-        return 2 * self.depth - 1
 
     def size(self) -> int:
         return len(self.mate) // 2
@@ -202,7 +199,7 @@ class UnionMatcher:
             s = queue.popleft()
             if s in mate or s not in adj:
                 continue
-            path = self._shortest_from(s)
+            path = self._first_shortest(s, sorted(adj[s]))
             if path is None:
                 continue
             self._flip(path, delta)
@@ -212,7 +209,7 @@ class UnionMatcher:
         mate, adj = self.mate, self.adj
         seen = set(path)
         frontier = path
-        free = [v for v in path if v not in mate]
+        free = []
         for _ in range(2 * self.depth):
             nxt = []
             for v in frontier:
@@ -226,24 +223,6 @@ class UnionMatcher:
             if not frontier:
                 break
         return free
-
-    def _shortest_from(self, s: int) -> tuple[int, ...] | None:
-        """Shortest augmenting path from free vertex s, up to 2k - 1 edges;
-        ties go to the first neighbour in sorted order."""
-        best: tuple[int, ...] | None = None
-        for x in sorted(self.adj[s]):
-            path = self._shortest_through((s, x))
-            if path is not None and (best is None or len(path) < len(best)):
-                best = path
-        return best
-
-    def _halves(self, v: int, budget: int) -> list[tuple[int, ...]]:
-        """Even alternating paths leaving v through its matched edge and ending
-        free, each a vertex tuple from v, in the search's preorder; the
-        zero-length half `(v,)` exists when v itself is free."""
-        out: list[tuple[int, ...]] = []
-        self._grow_halves(v, budget, [v], out)
-        return out
 
     def _grow_halves(
         self,
@@ -271,34 +250,47 @@ class UnionMatcher:
             path.pop()
         path.pop()
 
+    def _first_shortest(
+        self, s: int, xs: Iterable[int]
+    ) -> tuple[int, ...] | None:
+        """First shortest augmenting path from the free vertex s, up to
+        2k - 1 edges, whose second vertex is in `xs`: the halves of every x
+        in `xs`, grown behind s in order, go into one list, and `min` keeps
+        the first of the shortest."""
+        paths: list[tuple[int, ...]] = []
+        budget = 2 * self.depth - 2
+        for x in xs:
+            self._grow_halves(x, budget, [s, x], paths)
+        return min(paths, key=len) if paths else None
+
     def _shortest_through(self, key: EdgeKey) -> tuple[int, ...] | None:
         """Shortest augmenting path that uses `key` as an unmatched edge,
-        listed from key[0] to the far end; `key` may be in either orientation.
+        listed from key[0] to the far end.
 
-        When an end is free, its only half is that end alone: the paths are
-        the other end's halves grown behind it, and `min` keeps the first
-        shortest, the path the join below would pick.  Otherwise halves are
-        sorted by length (stable, so preorder breaks ties) and combine when
-        they share no vertex; the u-half's vertex set is built once, and
-        only when some v-half is short enough to test.
+        When an end is free, its only half is that end alone, so the path is
+        `_first_shortest` from that end, the path the join below would pick.
+        Otherwise halves are sorted by length (stable, so preorder breaks
+        ties) and combine when they share no vertex; the u-half's vertex set
+        is built once, and only when some v-half is short enough to test.
         """
         u, v = key
-        budget = self.max_path_len - 1
         mate = self.mate
         if u not in mate:
-            paths: list[tuple[int, ...]] = []
-            self._grow_halves(v, budget, [u, v], paths)
-            return min(paths, key=len) if paths else None
+            return self._first_shortest(u, (v,))
         if v not in mate:
-            paths = []
-            self._grow_halves(u, budget, [v, u], paths)
-            return min(paths, key=len)[::-1] if paths else None
-        halves_u = sorted(self._halves(u, budget), key=len)
+            path = self._first_shortest(v, (u,))
+            return None if path is None else path[::-1]
+        budget = 2 * self.depth - 2
+        halves_u: list[tuple[int, ...]] = []
+        self._grow_halves(u, budget, [u], halves_u)
         if not halves_u:
             return None
-        halves_v = sorted(self._halves(v, budget), key=len)
+        halves_u.sort(key=len)
+        halves_v: list[tuple[int, ...]] = []
+        self._grow_halves(v, budget, [v], halves_v)
+        halves_v.sort(key=len)
         best: tuple[int, ...] | None = None
-        best_len = self.max_path_len + 1
+        best_len = 2 * self.depth
         for pu in halves_u:
             len_u = len(pu)
             if len_u >= best_len:

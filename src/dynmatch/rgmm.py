@@ -178,9 +178,11 @@ class MatchingState:
         edge back out of it.
         """
         u, v = key
-        if v in self.index.get(u, ()):
+        index = self.index
+        if v in index.get(u, ()):
             raise DuplicateEdgeError(f"edge {key} already present")
-        self._index_add(key, rank)
+        index.setdefault(u, {})[v] = rank
+        index.setdefault(v, {})[u] = rank
         k = self.k
         if k.get(u, UNMATCHED_RANK) <= rank or k.get(v, UNMATCHED_RANK) <= rank:
             return EMPTY_DELTA
@@ -201,10 +203,15 @@ class MatchingState:
     def apply_delete(self, key: EdgeKey) -> DeltaList:
         """Delete an edge; returns exactly the matching changes it caused."""
         u, v = key
+        index = self.index
         # An edge is present only under its (lo, hi) key.
-        if u > v or v not in self.index.get(u, ()):
+        if u > v or v not in index.get(u, ()):
             raise EdgeNotFoundError(f"edge {key} not present")
-        rank = self._index_remove(key)
+        for w, x in ((u, v), (v, u)):
+            adj = index[w]
+            rank = adj.pop(x)
+            if not adj:
+                del index[w]
         if self.k.get(u) != rank:
             return EMPTY_DELTA
         del self.k[u], self.k[v]
@@ -213,21 +220,6 @@ class MatchingState:
         return delta
 
     # -- internals -------------------------------------------------------
-
-    def _index_add(self, key: EdgeKey, rank: Rank) -> None:
-        u, v = key
-        self.index.setdefault(u, {})[v] = rank
-        self.index.setdefault(v, {})[u] = rank
-
-    def _index_remove(self, key: EdgeKey) -> Rank:
-        """Drop the edge from the index; returns its rank."""
-        u, v = key
-        for w, x in ((u, v), (v, u)):
-            adj = self.index[w]
-            rank = adj.pop(x)
-            if not adj:
-                del self.index[w]
-        return rank
 
     def _best_candidate(self, w: int) -> Rank | None:
         """Rank of the minimum-rank incident edge whose far endpoint is free

@@ -5,7 +5,8 @@ from the seeds it is given.  The validators return plain JSON dicts, the
 reports their `dynmatch validate` suites publish, each with a boolean
 "passed".  Monte Carlo validators report mean and standard error and never
 gate tighter than three standard errors.  Their greedy matchings come from
-`reference.bulk_greedy`, the one static greedy loop in the package.
+`reference.bulk_greedy`, the one static greedy loop in the package, and
+their level lookups from `reference.level_by_scan`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .core import RANK_SCALE, level_of_rank, thresholds_for
+from .core import RANK_SCALE, thresholds_for
 from .errors import ConfigError, ConsistencyError
 from .exact import max_matching_exact
-from .reference import bulk_greedy
+from .reference import bulk_greedy, level_by_scan
 
 
 def _random_distinct_pairs(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +305,7 @@ def clique_pm_layers(
     order = np.argsort(rank0, kind="stable")
     _, matched_pos = bulk_greedy(us[order].tolist(), vs[order].tolist(), n_total)
     m0 = order[matched_pos]
-    m0_level = [level_of_rank(r << 64, thresholds) for r in rank0[m0].tolist()]
+    m0_level = [level_by_scan(r << 64, thresholds) for r in rank0[m0].tolist()]
     sampled = rng.random(len(m0)) < sample_p
     coins = rng.integers(0, 2, size=(levels + 1, n_total), dtype=np.int8)
     build = LayeredBuild(rank0, m0, m0_level, sampled, coins)

@@ -17,7 +17,6 @@ from dynmatch.core import (
     ZERO_RANK,
     edge_key,
     key_of,
-    level_of_rank,
     make_rank,
     threshold_rank,
     thresholds_for,
@@ -257,13 +256,14 @@ class TestRankLevels:
 
     def test_threshold_example_delta16_l2(self):
         # t_1 = 16^(-1/2) = 0.25
-        th = thresholds_for(16, 2)
+        inst = make_instance(delta=16, levels=2)
+        th = inst.thresholds
         assert unpack_rank(th[1])[0] == RANK_SCALE // 4
-        assert level_of_rank(rank_at(0.5), th) == 1
+        assert inst.level_of_rank(rank_at(0.5)) == 1
         # the interval is half-open: a rank exactly at the boundary value
         # falls in [0, t_1], i.e. level 2
-        assert level_of_rank(make_rank(RANK_SCALE // 4, 0, 1), th) == 2
-        assert level_of_rank(rank_at(0.1), th) == 2
+        assert inst.level_of_rank(make_rank(RANK_SCALE // 4, 0, 1)) == 2
+        assert inst.level_of_rank(rank_at(0.1)) == 2
 
     def test_thresholds_monotone(self):
         th = thresholds_for(32, 4)
@@ -277,9 +277,10 @@ class TestRankLevels:
     )
     @settings(max_examples=300, deadline=None)
     def test_levels_partition_rank_space(self, value, delta, levels):
-        th = thresholds_for(delta, levels)
+        inst = make_instance(delta=delta, levels=levels)
+        th = inst.thresholds
         r = make_rank(value, 3, 7)
-        lvl = level_of_rank(r, th)
+        lvl = inst.level_of_rank(r)
         assert 1 <= lvl <= levels
         # membership matches the defining interval exactly
         if lvl < levels:
@@ -315,7 +316,6 @@ class TestRankLevels:
         ranks += [make_rank(rng.getrandbits(64), 3, 7) for _ in range(500)]
         for r in ranks:
             assert inst.level_of_rank(r) == level_by_scan(r, th), r
-            assert level_of_rank(r, th) == level_by_scan(r, th), r
 
     def test_alpha_for_level(self):
         inst = make_instance(delta=16, levels=2)

@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from dynmatch.core import Instance, InstanceConfig, level_of_rank
+from dynmatch.core import Instance, InstanceConfig
 from dynmatch.errors import (
     CapacityError,
     ConfigError,
@@ -316,7 +316,7 @@ class TestRoles:
             )
             k = pipe.base.k
             assert pipe.match_level == [
-                level_of_rank(k[v], inst.thresholds) if v in k else 0
+                inst.level_of_rank(k[v]) if v in k else 0
                 for v in range(n)
             ]
             for key in inst.records:

@@ -248,6 +248,16 @@ class TestCli:
         assert not out.exists()
         assert "clique-pm needs n >= 4" in self._one_error_line(capsys)
 
+    def test_gen_refuses_a_clique_pm_build_that_cannot_fit(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main([
+            "gen", "--generator", "clique-pm", "--n", "1048576", "--delta",
+            "524288", "--len", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert not out.exists()
+        assert "builds 137439215616 edges" in self._one_error_line(capsys)
+
     @pytest.mark.parametrize("generator", ["erdos-churn", "bipartite-churn"])
     def test_gen_rejects_a_negative_target_edges(self, tmp_path, capsys, generator):
         out = tmp_path / "s.jsonl"

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import pytest
 
 from dynmatch.core import edge_key
@@ -69,6 +72,13 @@ class TestGenerators:
         with pytest.raises(StreamSpecError, match="n >= 4"):
             generate_stream(StreamSpec("clique-pm", 2, 1, 5, seed=1))
 
+    @pytest.mark.parametrize("n", [6796, 2**20])
+    def test_clique_pm_refuses_a_build_above_the_budget(self, n):
+        # 6796 is the smallest even n whose (n/2 choose 2) + n/2 build edges
+        # exceed the budget at 186 bytes each
+        with pytest.raises(StreamSpecError, match="-byte budget"):
+            generate_stream(StreamSpec("clique-pm", n, n // 2, 1, seed=1))
+
     def test_sliding_window_deletes_expired_inserts(self):
         w = 9
         spec = StreamSpec("sliding-window", 32, 8, 60, seed=7, params={"window": w})
@@ -87,6 +97,55 @@ class TestGenerators:
     def test_unknown_generator(self):
         with pytest.raises(StreamSpecError):
             generate_stream(StreamSpec("nope", 8, 4, 10, seed=1))
+
+
+class TestGeneratorPins:
+    """Every generator's stream, pinned by its sha256 over two seeds, so a
+    change to the adversaries' draw order fails here.  perfbench's digests
+    cover only erdos-churn and clique-pm."""
+
+    @pytest.mark.parametrize(
+        "generator, n, delta, params, pins",
+        [
+            ("erdos-churn", 64, 8, {}, (
+                "53c8dcbc31fa9adeb7853e09d8448524f69f13f125762a419fe572d131061cdc",
+                "539126498bc60122a7c8975e37e76c23ad658c9745bd9cf6dff043b6c68a804d",
+            )),
+            ("erdos-churn", 200, 4, {"target_edges": 500}, (
+                "9edcfae4ce201b64a58f9f491a263b819b728b40e2aaa1ac7dc27c00a31d26ff",
+                "8e2eb742500c06e3ab9ee72944ad6e10b03d6eefd6498c8620b7b774ccee8bf5",
+            )),
+            ("sliding-window", 64, 8, {"window": 40}, (
+                "b930e0e6ee723dd982ca4f2aa23b1fd13039de4db2593ddca52d2b74ba57023f",
+                "ce22b522b3c35b9ca81898157089f606b3ddea03f900e3ba106e9f64ecfab44e",
+            )),
+            ("sliding-window", 300, 16, {}, (
+                "8a8fec211d26f899a0b030fae98d430d1b43249213030a9f3d5157f07c3d517f",
+                "24ad3a68f17be2244f24d9c86164a0e1013ff756299b1b98cce8cae7fa9b0a07",
+            )),
+            ("clique-pm", 40, 20, {}, (
+                "d4343139487cd2026f8bc55a96744083a218b41fc05ac402f8db5933f8fe7619",
+                "3351447fac8de1982682f7d1f4448c58a41172d4f41ac9adb6a926de218e8c50",
+            )),
+            ("bipartite-churn", 64, 8, {}, (
+                "3b0b116964bdd921bd2bc0440f18265ecfecfa5e5d9386f59c9e9084890a5776",
+                "f87d27b48cd041ffe11d891000eae46ea6aec4909843e315198cb4f1e68c9fc6",
+            )),
+            ("bipartite-churn", 201, 6, {"target_edges": 400}, (
+                "facfc70955a334b215aae393bdd7e662c60f6812f1cc722bf67749d6feebad11",
+                "3131a6ff727c5512dc3c3aa060b3c268cb6ed7db7af311e58a77c1b1f2f8ed5f",
+            )),
+        ],
+    )
+    def test_stream_matches_its_pin(self, generator, n, delta, params, pins):
+        got = []
+        for seed in (1, 2):
+            h = hashlib.sha256()
+            spec = StreamSpec(generator, n, delta, 3000, seed, dict(params))
+            for ev in generate_stream(spec):
+                h.update(f"{ev.op} {ev.u} {ev.v} {ev.seq}\n".encode())
+            got.append(h.hexdigest())
+        assert tuple(got) == pins
 
 
 class TestStreamFiles:
@@ -132,6 +191,24 @@ class TestStreamFiles:
             read_stream(path)
         assert err.value.seq == 3
         assert f"line 4: not UTF-8 ({reason})" in str(err.value)
+
+    def test_cr_line_breaks_cost_what_newlines_cost(self, tmp_path):
+        # a file whose lines end in "\r" alone is read one line at a time
+        # too: beyond the parsed events, no copy of the file is held
+        events = generate_stream(StreamSpec("erdos-churn", 200, 8, 20_000, seed=3))
+        lf = tmp_path / "lf.jsonl"
+        write_stream(events, lf)
+        cr = tmp_path / "cr.jsonl"
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        peaks = []
+        for path in (lf, cr):
+            tracemalloc.start()
+            try:
+                assert len(read_stream(path)) == len(events)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_bad_byte_past_the_first_64_kib_names_its_line(self, tmp_path):
         line = b'{"op": "ins", "u": 0, "v": 1}\n'
