@@ -179,10 +179,20 @@ class MatchingState:
         """
         u, v = key
         index = self.index
-        if v in index.get(u, ()):
+        # A row is written through `get`, not `setdefault(u, {})`, which
+        # builds a throwaway dict on every call.
+        row = index.get(u)
+        if row is None:
+            index[u] = {v: rank}
+        elif v in row:
             raise DuplicateEdgeError(f"edge {key} already present")
-        index.setdefault(u, {})[v] = rank
-        index.setdefault(v, {})[u] = rank
+        else:
+            row[v] = rank
+        row = index.get(v)
+        if row is None:
+            index[v] = {u: rank}
+        else:
+            row[u] = rank
         k = self.k
         if k.get(u, UNMATCHED_RANK) <= rank or k.get(v, UNMATCHED_RANK) <= rank:
             return EMPTY_DELTA

@@ -162,8 +162,11 @@ def _sliding_window(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEven
 
 
 #: Bytes one clique-pm build edge costs while the whole build is held (its
-#: list slot, tuple and `present` entry).  tracemalloc, CPython 3.11, at the
-#: end of the build: 177/184/186 B at n = 1000/2000/4000.
+#: list slot, tuple and `present` entry).  The bound holds through the churn
+#: too: the build list goes before the churn's clique list is built, and
+#: `present` right after, so the end of the build is the generator's peak.
+#: tracemalloc, CPython 3.11, peak over the whole stream: 177/184/186 B at
+#: n = 1000/2000/4000.
 _BUILD_EDGE_BYTES = 186
 
 
@@ -197,7 +200,11 @@ def _clique_pm(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
         present.add((u, v))
         yield UpdateEvent("ins", u, v, seq)
         seq += 1
+    # The churn reads only the clique edges, in `present`'s iteration order,
+    # which the stream depends on; the build list and the set go first.
+    del build
     clique_present = [e for e in present if e[1] < half]
+    del present
     clique_absent: list[EdgeKey] = []
     for _ in range(spec.length):
         if clique_absent and (not clique_present or rng.random() < 0.5):

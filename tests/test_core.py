@@ -158,6 +158,33 @@ class TestEdgeLifecycle:
         with pytest.raises(LoopEdgeError):
             inst.admit_edge(1, 1)
 
+    @pytest.mark.parametrize(
+        "edge, error, message",
+        [
+            # the loop check comes before the range checks
+            ((9, 9), LoopEdgeError, "self-loop at vertex 9"),
+            ((7, 9), ConfigError, "vertex 7 outside universe [0, 4)"),
+            ((1, 9), ConfigError, "vertex 9 outside universe [0, 4)"),
+            ((1, 0), DuplicateEdgeError, "edge (0, 1) already present"),
+            # vertex 0 is at the cap: the duplicate check comes first
+            ((0, 2), DuplicateEdgeError, "edge (0, 2) already present"),
+            ((3, 0), CapacityError,
+             "inserting (0, 3) would exceed the declared degree bound 2"),
+        ],
+    )
+    def test_refusal_order_and_message_and_no_draw(self, edge, error, message):
+        inst = make_instance(n=4, delta=2)
+        inst.admit_edge(0, 1)
+        inst.admit_edge(0, 2)
+        records, deg, rng = dict(inst.records), list(inst.deg), inst._rng.getstate()
+        with pytest.raises(error) as refused:
+            inst.admit_edge(*edge)
+        assert type(refused.value) is error
+        assert str(refused.value) == message
+        assert inst.records == records
+        assert inst.deg == deg
+        assert inst._rng.getstate() == rng
+
     def test_capacity_enforced(self):
         inst = make_instance(n=5, delta=2)
         inst.admit_edge(0, 1)

@@ -2,7 +2,7 @@
 
 `perfbench/spans.py` wraps engine methods by name; an engine change that
 renames or removes one of them must fail here, not only in a traced
-benchmark run.
+benchmark run, and so must an update path that skips one of them.
 """
 
 import importlib.util
@@ -43,6 +43,14 @@ def test_every_wrapped_span_records_calls(monkeypatch):
     assert "rgmm.base.neighbors_above" in tracer.names
     for name in tracer.names:
         assert summary[f"{name}.calls"][0] > 0, name
+    # every insert and delete goes through the wrapped attributes of the
+    # live objects, once each
+    inserts = sum(ev.op == "ins" for ev in events)
+    assert 0 < inserts < len(events)
+    assert summary["core.admit_edge.calls"][0] == inserts
+    assert summary["rgmm.base.apply_insert.calls"][0] == inserts
+    assert summary["core.retire_edge.calls"][0] == len(events) - inserts
+    assert summary["pipeline.handle_update.calls"][0] == len(events)
     assert summary["rgmm.base.neighbors_above.rows"][0] > 0
     # union calls share the update's answer delta, yet only the calls that
     # changed the answer count as effective
