@@ -201,7 +201,8 @@ def _clique_pm(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEvent]:
         yield UpdateEvent("ins", u, v, seq)
         seq += 1
     # The churn reads only the clique edges, in `present`'s iteration order,
-    # which the stream depends on; the build list and the set go first.
+    # which the stream depends on; the build list goes first, and the set
+    # once they are copied out.
     del build
     clique_present = [e for e in present if e[1] < half]
     del present
