@@ -18,7 +18,7 @@ from .streams import (
     GENERATORS,
     StreamSpec,
     UpdateEvent,
-    generate_stream,
+    iter_stream,
     read_stream,
     write_stream,
 )
@@ -99,9 +99,8 @@ def _run(args: argparse.Namespace) -> int:
             params["window"] = args.window
         spec = StreamSpec(args.generator, args.n, args.delta, args.length,
                           args.seed, params)
-        events = generate_stream(spec)
-        write_stream(events, args.out)
-        print(f"wrote {len(events)} events to {args.out}")
+        count = write_stream(iter_stream(spec), args.out)
+        print(f"wrote {count} events to {args.out}")
         return 0
 
     if args.command == "run":

@@ -17,10 +17,11 @@ freed by reference counting, not by the cyclic garbage collector.
 Inserts and repairs share one path enumerator, `_grow_halves`.  A half is
 a vertex tuple copied from the one path list the enumeration extends and
 backtracks; that list is also the visited test (`x in path`, at most 2k
-vertices), so no visited set is kept or copied per half.  Halves are sorted
-by length, stably, so preorder breaks ties.  Two halves join when they share
-no vertex: the u-half's vertex set is built once, lazily, and tested against
-each v-half with `isdisjoint`.
+vertices), so no visited set is kept or copied per half.  An insert between
+two matched vertices u and v joins a u-half to a v-half: of the pairs that
+share no vertex and span at most 2k - 1 edges, `min` keeps the first of the
+shortest, with each end's halves sorted by length, stably, so u-halves in
+preorder and then v-halves in preorder break ties.
 
 Every search from a free vertex s is one call, `_first_shortest(s, xs)`: the
 only half at s is (s,), so it grows the halves of each x in xs behind the
@@ -267,11 +268,10 @@ class UnionMatcher:
         """Shortest augmenting path that uses `key` as an unmatched edge,
         listed from key[0] to the far end.
 
-        When an end is free, its only half is that end alone, so the path is
-        `_first_shortest` from that end, the path the join below would pick.
-        Otherwise halves are sorted by length (stable, so preorder breaks
-        ties) and combine when they share no vertex; the u-half's vertex set
-        is built once, and only when some v-half is short enough to test.
+        When both ends are matched, the path is the join of the module
+        docstring.  When an end is free, its only half is that end alone, so
+        the path is `_first_shortest` from that end, the path the join would
+        pick.
         """
         u, v = key
         mate = self.mate
@@ -289,21 +289,13 @@ class UnionMatcher:
         halves_v: list[tuple[int, ...]] = []
         self._grow_halves(v, budget, [v], halves_v)
         halves_v.sort(key=len)
-        best: tuple[int, ...] | None = None
-        best_len = 2 * self.depth
-        for pu in halves_u:
-            len_u = len(pu)
-            if len_u >= best_len:
-                break
-            seen = None
-            for pv in halves_v:
-                total = len_u + len(pv) - 1
-                if total >= best_len:
-                    break
-                if seen is None:
-                    seen = set(pu)
-                if not seen.isdisjoint(pv):
-                    continue
-                best = pu[::-1] + pv
-                best_len = total
-        return best
+        return min(
+            (
+                pu[::-1] + pv
+                for pu in halves_u
+                for pv in halves_v
+                if len(pu) + len(pv) <= 2 * self.depth and set(pu).isdisjoint(pv)
+            ),
+            key=len,
+            default=None,
+        )

@@ -163,8 +163,6 @@ class Pipeline:
         range, duplicate insert, absent delete, degree above the cap) raises
         a `DynMatchError` before any state changes.
         """
-        if op not in ("ins", "del"):
-            raise UnknownOpError(f"unknown op {op!r}")
         t0 = time.perf_counter_ns()
         pops0 = self.base.counters["pops"]
         # Union updates must replay in operation order: one pipeline update
@@ -183,10 +181,12 @@ class Pipeline:
             record = self.inst.admit_edge(u, v)
             key = record.key
             base_delta = self.base.apply_insert(key, record.ranks[0])
-        else:
+        elif op == "del":
             record = self.inst.retire_edge(u, v)
             key = record.key
             base_delta = self.base.apply_delete(key)
+        else:
+            raise UnknownOpError(f"unknown op {op!r}")
 
         if base_delta is EMPTY_DELTA:
             # M_0 and the roles are unchanged: the updated edge itself may
@@ -337,8 +337,7 @@ class Pipeline:
                 probes += len(candidates)
                 for key in candidates:
                     if key[1] not in index.get(key[0], ()):
-                        rec = records[key]
-                        d = state.apply_insert(rec.key, rec.ranks[i])
+                        d = state.apply_insert(key, records[key].ranks[i])
                         if d is not EMPTY_DELTA:
                             level_deltas.append((i, d))
         return probes

@@ -1,15 +1,16 @@
 """Oblivious-adversary update streams.
 
-A stream is materialized in full from its own seed before the algorithm draws
-any randomness; generators keep a private mirror of the graph so that every
-emitted event is replay-valid by construction (no duplicate inserts, no
-deletes of absent edges, no degree-cap violations).
+A stream depends on its own seed alone, so it is fixed before the algorithm
+draws any randomness; generators keep a private mirror of the graph so that
+every emitted event is replay-valid by construction (no duplicate inserts,
+no deletes of absent edges, no degree-cap violations).
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -141,9 +142,10 @@ def _sliding_window(spec: StreamSpec, rng: random.Random) -> Iterator[UpdateEven
     if window < 1:
         raise StreamSpecError(f"sliding-window needs window >= 1, got {window}")
     mirror = _Mirror(spec.n, spec.delta)
-    history: list[UpdateEvent] = []
+    # The last `window` events; once full, its head is event seq - window.
+    history: deque[UpdateEvent] = deque(maxlen=window)
     for seq in range(spec.length):
-        old = history[seq - window] if seq >= window else None
+        old = history[0] if seq >= window else None
         if old is not None and old.op == "ins":
             key = old.key
             mirror.remove(key)
@@ -231,25 +233,42 @@ _DISPATCH = {
 GENERATORS = tuple(_DISPATCH)
 
 
-def generate_stream(spec: StreamSpec) -> list[UpdateEvent]:
-    """Materialize the full event list for `spec`, deterministically.
+def iter_stream(spec: StreamSpec) -> Iterator[UpdateEvent]:
+    """The events of `spec`, generated lazily and deterministically.
 
-    A vertex count no engine instance admits (`InstanceConfig.validate`) is
-    refused with a `ConfigError` before anything is allocated.
+    The spec is checked here, before the first event: an unknown generator
+    or a bad n, delta or length raise `StreamSpecError`, and a vertex count
+    no engine instance admits (`InstanceConfig.validate`) a `ConfigError`.
+    A generator's own checks run when it yields its first event.
     """
     if spec.generator not in _DISPATCH:
         raise StreamSpecError(f"unknown generator {spec.generator!r}")
     if spec.n < 2 or spec.delta < 1 or spec.length < 0:
         raise StreamSpecError("stream spec needs n >= 2, delta >= 1, length >= 0")
     InstanceConfig(spec.n, 1, 1).validate()
-    rng = random.Random(spec.seed)
-    return list(_DISPATCH[spec.generator](spec, rng))
+    return _DISPATCH[spec.generator](spec, random.Random(spec.seed))
 
 
-def write_stream(events: Iterable[UpdateEvent], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps({"op": ev.op, "u": ev.u, "v": ev.v}) + "\n")
+def generate_stream(spec: StreamSpec) -> list[UpdateEvent]:
+    """The full event list for `spec`: `iter_stream`, materialized."""
+    return list(iter_stream(spec))
+
+
+def write_stream(events: Iterable[UpdateEvent], path: str | Path) -> int:
+    """Write `events` to `path` as JSONL, each as it comes, and return how
+    many were written.  If the events or the writes fail part-way, the file
+    is removed before the error propagates."""
+    count = 0
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            for ev in events:
+                fh.write(json.dumps({"op": ev.op, "u": ev.u, "v": ev.v}) + "\n")
+                count += 1
+    except BaseException:
+        Path(path).unlink()
+        raise
+    return count
 
 
 def read_stream(path: str | Path) -> list[UpdateEvent]:

@@ -1,11 +1,14 @@
+import ast
 import gc
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynmatch
 from dynmatch.core import (
     MAX_LEVELS,
     MAX_VERTICES,
@@ -354,3 +357,23 @@ def test_edge_key_canonicalizes():
     assert edge_key(5, 2) == (2, 5)
     with pytest.raises(LoopEdgeError):
         edge_key(3, 3)
+
+
+def test_package_imports_its_own_modules_relatively():
+    # two copies of the package load side by side under two names (a
+    # lockstep A/B of two revisions) only while no module of it imports
+    # `dynmatch` by its absolute name
+    absolute = []
+    for path in sorted(Path(dynmatch.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            absolute += [
+                f"{path.name}:{node.lineno}"
+                for name in names if name.partition(".")[0] == "dynmatch"
+            ]
+    assert absolute == []

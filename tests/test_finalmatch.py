@@ -205,6 +205,100 @@ class TestContractUnderChurn:
         assert outs[0] == outs[1]
 
 
+def augmenting_paths_through(um: UnionMatcher, key, max_edges: int) -> list:
+    """Every simple alternating path of at most `max_edges` edges between two
+    free vertices that uses `key` as an unmatched edge, by brute force over
+    the union graph: the oracle for `_shortest_through`."""
+    mate, adj = um.mate, um.adj
+    found = []
+
+    def extend(path, matched_next):
+        last = path[-1]
+        if matched_next and last not in mate:
+            found.append(tuple(path))  # ends free after an unmatched edge
+            return
+        if len(path) > max_edges:
+            return
+        if matched_next:
+            nexts = [mate[last]]
+        else:
+            nexts = [x for x in adj.get(last, ()) if mate.get(last) != x]
+        for x in nexts:
+            if x not in path:
+                extend(path + [x], not matched_next)
+
+    for s in adj:
+        if s not in mate:
+            extend([s], False)
+    u, v = key
+    return [
+        p for p in found
+        if any({p[i], p[i + 1]} == {u, v} for i in range(len(p) - 1))
+    ]
+
+
+class TestBothMatchedJoin:
+    """An insert between two matched vertices joins a u-half to a v-half."""
+
+    @staticmethod
+    def _tie(depth: int) -> UnionMatcher:
+        # answer (1, 2) and (3, 4); union edges 1-5, 1-6 and 4-7 open no
+        # path; inserting 2-3 opens 5-1-2-3-4-7 and 6-1-2-3-4-7, 5 edges each
+        um = UnionMatcher(depth=depth)
+        for key in [(1, 2), (3, 4), (1, 5), (1, 6), (4, 7)]:
+            um.add(key, DeltaList())
+        assert um.matching() == {(1, 2), (3, 4)}
+        um.add((2, 3), DeltaList())
+        return um
+
+    def test_first_u_half_in_preorder_wins_a_tie(self):
+        assert self._tie(depth=3).matching() == {(1, 5), (2, 3), (4, 7)}
+
+    def test_join_longer_than_2k_minus_1_edges_is_not_taken(self):
+        assert self._tie(depth=2).matching() == {(1, 2), (3, 4)}
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_random_unions_against_brute_force(self, depth):
+        rng = random.Random(500 + depth)
+        calls = Counter()
+        for _ in range(60):
+            um = UnionMatcher(depth=depth)
+            search = um._shortest_through
+
+            def checked(key, um=um, search=search):
+                path = search(key)
+                both_matched = key[0] in um.mate and key[1] in um.mate
+                paths = augmenting_paths_through(um, key, 2 * depth - 1)
+                calls[both_matched, path is not None] += 1
+                if not paths:
+                    assert path is None
+                    return path
+                assert path is not None
+                assert len(path) == min(map(len, paths))
+                assert path in paths
+                # listed from key[0] to the far end
+                assert path.index(key[0]) + 1 == path.index(key[1])
+                return path
+
+            um._shortest_through = checked
+            edges = set()
+            for _ in range(80):
+                if edges and rng.random() < 0.3:
+                    key = rng.choice(sorted(edges))
+                    edges.remove(key)
+                    um.remove(key, DeltaList())
+                else:
+                    u, v = rng.randrange(10), rng.randrange(10)
+                    if u == v or edge_key(u, v) in edges:
+                        continue
+                    key = edge_key(u, v)
+                    edges.add(key)
+                    um.add(key, DeltaList())
+        # joins that find no path ran, and from depth 3 on, joins that find
+        # one (within 3 edges, every unmatched edge has a free end)
+        assert calls[True, False] and (depth < 3 or calls[True, True]), calls
+
+
 class TestSearchOrderPin:
     # sha256 over the answer and the union multiset after every update of one
     # fixed stream.  The answer depends on which shortest augmenting path the

@@ -112,6 +112,9 @@ class TestRejectedUpdates:
             ("ins", 3, 3, LoopEdgeError),
             ("del", 3, 3, LoopEdgeError),
             ("upd", 2, 3, UnknownOpError),
+            # the op is checked before either vertex
+            ("upd", 3, 3, UnknownOpError),
+            ("upd", -1, 9, UnknownOpError),
         ],
     )
     def test_rejection_is_typed_and_changes_nothing(self, op, u, v, error):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -257,6 +258,46 @@ class TestCli:
         assert rc == 2
         assert not out.exists()
         assert "builds 137439215616 edges" in self._one_error_line(capsys)
+
+    def test_gen_failing_part_way_leaves_no_file(self, tmp_path, capsys):
+        # two edges fill the graph, so the third insert cannot be placed
+        # after two events are already written
+        out = tmp_path / "s.jsonl"
+        rc = main([
+            "gen", "--generator", "sliding-window", "--n", "4", "--delta", "1",
+            "--len", "50", "--window", "10", "--out", str(out),
+        ])
+        assert rc == 2
+        assert not out.exists()
+        assert "could not place a fresh edge" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "generator,extra",
+        [("erdos-churn", []), ("sliding-window", ["--window", "500"])],
+    )
+    def test_gen_memory_does_not_grow_with_the_stream(
+        self, tmp_path, capsys, generator, extra
+    ):
+        # events are written as they are generated: beyond the generator's
+        # mirror of the graph (and the window), no event outlives its line
+        def peak(length: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main([
+                    "gen", "--generator", generator, "--n", "200", "--delta",
+                    "8", "--len", str(length), "--seed", "1",
+                    "--out", str(tmp_path / f"{length}.jsonl"), *extra,
+                ]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations out of the way
+        small, large = peak(10_000), peak(40_000)
+        assert large < 1.5 * small, (small, large)
+        assert capsys.readouterr().out.endswith(
+            f"wrote 40000 events to {tmp_path / '40000.jsonl'}\n"
+        )
 
     @pytest.mark.parametrize("generator", ["erdos-churn", "bipartite-churn"])
     def test_gen_rejects_a_negative_target_edges(self, tmp_path, capsys, generator):
